@@ -1,8 +1,9 @@
 package er
 
-// Blocking-layer benchmark at retrieval scale. Internal (package er) so it
-// can reach the same corpus options the resolve path derives, keeping the
-// measured work identical to what a real resolve performs.
+// Corpus-build and blocking-layer benchmarks at retrieval scale. Internal
+// (package er) so they can reach the same corpus options the resolve path
+// derives, keeping the measured work identical to what a real resolve
+// performs.
 
 import (
 	"fmt"
@@ -47,6 +48,38 @@ func BenchmarkBlocking100k(b *testing.B) {
 				if _, err := blocking.Build(c, d.ds.Sources(), bopts); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// corpusSink keeps the benchmarked build observable to the compiler.
+var corpusSink *textproc.Corpus
+
+// BenchmarkBuildCorpus100k measures the tokenize stage — the chunked
+// corpus builder of internal/textproc — on the same 100000-record
+// synthetic corpus across worker counts. The Corpus is identical at every
+// worker count (TestBuildCorpusMatchesReference), so the workers=N samples
+// are directly comparable. Skipped under -short: the 100k corpus setup is
+// seconds-scale.
+func BenchmarkBuildCorpus100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k corpus setup is seconds-scale; skipped under -short")
+	}
+	d := SyntheticDataset(SyntheticConfig{
+		Records:       100000,
+		DuplicateRate: 0.3,
+		VocabSize:     50000,
+	})
+	texts := d.ds.Texts()
+	copts := DefaultOptions().corpusOptions()
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			copts.Workers = w
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				corpusSink = textproc.BuildCorpus(texts, copts)
 			}
 		})
 	}

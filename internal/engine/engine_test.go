@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/guard"
 	"repro/internal/textproc"
 )
 
@@ -259,5 +262,82 @@ func TestPrepareDegradation(t *testing.T) {
 	blk := run.Trace().Find(StageBlock)
 	if blk == nil || len(blk.Events) != len(snap.Degradation.Steps) {
 		t.Errorf("degradation steps not mirrored into the block stage's events")
+	}
+}
+
+// TestKeyGolden pins the snapshot key of a fixed input, byte for byte:
+// cached snapshots are looked up by this hex string, so a change to Key's
+// encoding (however fast) must not change a key.
+func TestKeyGolden(t *testing.T) {
+	texts := []string{"Sony PSLX350H turntable", "", "caffè 北京 & 123-456", "sony turntable"}
+	sources := []int{0, 1, 0, -7}
+	copts := textproc.CorpusOptions{
+		Tokenize:   textproc.DefaultTokenizeOptions(),
+		MaxDFRatio: 0.15,
+		MinDF:      2,
+		Stopwords:  []string{"llc", "Inc", "a\"b"},
+	}
+	bopts := blocking.Options{CrossSourceOnly: true, MaxTermRecords: 500, MinSharedTerms: 2, MinJaccard: 0.2}
+	bigTexts := make([]string, 6000)
+	bigSources := make([]int, len(bigTexts))
+	for i := range bigTexts {
+		bigTexts[i] = strings.Repeat("ab ", i%60) + strconv.Itoa(i)
+		bigSources[i] = i % 7
+	}
+	bigTexts[4000] = strings.Repeat("x", 40000)
+	golden := []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"fixed", Key(texts, sources, copts, bopts, 12345),
+			"8c7afd87de21137d3b95f518f5df5a45d8113582775aee1dcaa4b2c2adeef141"},
+		{"empty", Key(nil, nil, textproc.CorpusOptions{}, blocking.Options{}, 0),
+			"6d72947c242dfec9da415afcf4b24a7d59cef431bbf430614eceb326f918fdb5"},
+		// Large enough to cross Key's buffer flushes, including one text
+		// longer than the buffer.
+		{"large", Key(bigTexts, bigSources, textproc.DefaultCorpusOptions(), blocking.Options{MinSharedTerms: 2}, 0),
+			"b486b0e91fad6d196a9af963850540ac9b9825e5b3bf608890b10061886cba70"},
+	}
+	for _, g := range golden {
+		if g.got != g.want {
+			t.Errorf("%s: Key = %s, want %s", g.name, g.got, g.want)
+		}
+	}
+	// Check and Workers change only how the corpus is built, never what
+	// it is, so they must not reach the key.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	copts.Workers = 3
+	copts.Check = guard.FromContext(ctx)
+	if k := Key(texts, sources, copts, bopts, 12345); k != golden[0].want {
+		t.Errorf("Key depends on Check/Workers: %s", k)
+	}
+}
+
+// TestPrepareCanceledDuringTokenize cancels the run after the tokenize
+// stage has started (the injected clock's first reading is the stage's
+// start time, taken after the between-stage poll) and requires the corpus
+// builder's own poll to stop it: Prepare fails with an error wrapping
+// context.Canceled, no corpus is produced and blocking never runs.
+func TestPrepareCanceledDuringTokenize(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk := fakeClock()
+	run := NewRun(ctx, RunOptions{Clock: func() time.Time {
+		cancel()
+		return clk()
+	}})
+	in := testInputs(t, nil)
+	snap, err := Prepare(run, in)
+	if snap != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Prepare = %v, %v; want nil snapshot and context.Canceled", snap, err)
+	}
+	tr := run.Trace()
+	if len(tr) != 1 || tr[0].Stage != StageTokenize {
+		t.Fatalf("trace = %+v, want only the interrupted tokenize stage", tr)
+	}
+	if tr[0].Out != 0 {
+		t.Fatalf("tokenize reported %d terms; the corpus must not be finished", tr[0].Out)
 	}
 }

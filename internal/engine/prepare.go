@@ -39,8 +39,8 @@ type PrepareInputs struct {
 	// index-aligned.
 	Texts   []string
 	Sources []int
-	// Corpus and Blocking are the stage options. Blocking.Check is
-	// overwritten with the run's checkpoint.
+	// Corpus and Blocking are the stage options. Their Check and Workers
+	// fields are overwritten with the run's checkpoint and worker budget.
 	Corpus   textproc.CorpusOptions
 	Blocking blocking.Options
 	// MaxPairs is the candidate-pair budget (0 disables it); exceeding it
@@ -78,8 +78,16 @@ func Prepare(r *Run, in PrepareInputs) (*Snapshot, error) {
 
 	snap := &Snapshot{Key: key}
 	err := r.Stage(StageTokenize, func(st *StageTrace) error {
-		snap.Corpus = textproc.BuildCorpus(in.Texts, in.Corpus)
+		// The builder runs on the run's worker budget and polls its
+		// checkpoint once per chunk; the Corpus is identical at every
+		// worker count, so the snapshot Key (which excludes both) stays
+		// valid.
+		copts := in.Corpus
+		copts.Check, copts.Workers = r.check, r.workers
 		st.In, st.InUnit = len(in.Texts), "records"
+		if snap.Corpus = textproc.BuildCorpus(in.Texts, copts); snap.Corpus == nil {
+			return r.check.Err() // the build stopped on cancellation
+		}
 		st.Out, st.OutUnit = snap.Corpus.NumTerms(), "terms"
 		return nil
 	})

@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/blocking"
@@ -45,15 +45,35 @@ func (s *Snapshot) NumPairs() int { return s.Graph.NumPairs() }
 // corpora and candidate graphs, so a cached snapshot substitutes exactly.
 func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts blocking.Options, maxPairs int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|records=%d|", len(texts))
+	// The per-record fields go through one reused buffer, flushed to the
+	// hash in large writes; the bytes are those of the historical
+	// fmt.Fprintf encoding ("%d:" before each text, "%d," per source), so
+	// keys are unchanged (TestKeyGolden).
+	buf := make([]byte, 0, 2*keyFlushBytes)
+	buf = append(buf, "v1|records="...)
+	buf = strconv.AppendInt(buf, int64(len(texts)), 10)
+	buf = append(buf, '|')
 	for _, t := range texts {
-		fmt.Fprintf(h, "%d:", len(t))
-		io.WriteString(h, t)
+		buf = strconv.AppendInt(buf, int64(len(t)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, t...)
+		if len(buf) >= keyFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	fmt.Fprintf(h, "|sources=%d|", len(sources))
+	buf = append(buf, "|sources="...)
+	buf = strconv.AppendInt(buf, int64(len(sources)), 10)
+	buf = append(buf, '|')
 	for _, s := range sources {
-		fmt.Fprintf(h, "%d,", s)
+		buf = strconv.AppendInt(buf, int64(s), 10)
+		buf = append(buf, ',')
+		if len(buf) >= keyFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	fmt.Fprintf(h, "|tok=%t,%d,%t|df=%g|mindf=%d|stop=",
 		copts.Tokenize.Lowercase, copts.Tokenize.MinLen, copts.Tokenize.KeepDigits,
 		copts.MaxDFRatio, copts.MinDF)
@@ -66,6 +86,9 @@ func Key(texts []string, sources []int, copts textproc.CorpusOptions, bopts bloc
 		bopts.CrossSourceOnly, bopts.MaxTermRecords, bopts.MinSharedTerms, bopts.MinJaccard, maxPairs)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// keyFlushBytes is the size at which Key hands its buffer to the hash.
+const keyFlushBytes = 32 << 10
 
 // FusionKey derives the content key of a fusion run's term weights on top
 // of a snapshot key: the snapshot plus every core option that influences

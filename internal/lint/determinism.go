@@ -39,6 +39,9 @@ var determinismCallPackages = map[string]bool{
 	// record set must yield bit-identical candidate graphs regardless of
 	// mutation history, so no ambient state may leak into its decisions.
 	"repro/internal/index": true,
+	// The corpus builder assigns the term IDs every downstream structure
+	// is indexed by, and promises the same Corpus at every worker count.
+	"repro/internal/textproc": true,
 }
 
 // determinismMapPackages additionally ban order-sensitive accumulation over
@@ -74,6 +77,10 @@ var determinismMapPackages = map[string]bool{
 	// are asserted bit-identical to batch builds; map iteration must not
 	// order anything it emits.
 	"repro/internal/index": true,
+	// Term IDs and the per-record Docs/Seqs are position-aligned inputs of
+	// every graph model; map iteration must not order anything the corpus
+	// builder emits.
+	"repro/internal/textproc": true,
 }
 
 // Determinism returns the analyzer enforcing seeded, injected-ambient

@@ -27,6 +27,9 @@ var guardLoopPackages = map[string]bool{
 	// lists — the same quadratic-prone shape as blocking — and must stay
 	// cancellable at 100k-record scale.
 	"repro/internal/index": true,
+	// The corpus builder tokenizes every record of a batch resolve — the
+	// largest stage at 100k records — so a canceled run must stop it too.
+	"repro/internal/textproc": true,
 }
 
 // GuardLoop returns the analyzer enforcing the PR-1 cancellation contract:
@@ -39,7 +42,7 @@ var guardLoopPackages = map[string]bool{
 func GuardLoop() *Analyzer {
 	return &Analyzer{
 		Name:    "guardloop",
-		Scope:   "internal/{core,blocking,baselines,engine,wal,index}",
+		Scope:   "internal/{core,blocking,baselines,engine,wal,index,textproc}",
 		Doc:     "nested loops in hot-path packages must poll a guard.Checkpoint",
 		Applies: func(pkgPath string) bool { return guardLoopPackages[pkgPath] },
 		Run:     runGuardLoop,

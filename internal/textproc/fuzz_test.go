@@ -1,28 +1,35 @@
 package textproc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode"
 )
 
 // FuzzTokenize drives the tokenizer with arbitrary text and option
-// combinations. Tokenize feeds every downstream stage, so its contract is
-// checked structurally: no panics, every token is a maximal alphanumeric
-// run drawn from the (folded) input, MinLen and KeepDigits are honored, and
-// UniqueTokens stays idempotent.
+// combinations. Tokenize feeds every downstream stage, so its output must
+// equal the historical tokenizer's (referenceTokenize) token for token, and
+// its contract is also checked structurally: no panics, every token is a
+// maximal alphanumeric run drawn from the (folded) input, MinLen and
+// KeepDigits are honored, and UniqueTokens stays idempotent.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Sony PSLX350H turntable", true, 2, true)
 	f.Add("caffè 北京 & 123-456", false, 0, false)
 	f.Add("", true, 1, true)
 	f.Add("a b c aa bb aa", true, 2, true)
 	f.Add(strings.Repeat("x", 300)+" \x00\xff invalid utf8", true, 2, true)
+	f.Add("ÀÉÎ ǅungla İstanbul K 〇 ٣٤٥ ４２ x²", true, 3, false)
+	f.Add("١٢٣ abc٣ Ⅻ 𝟘𝟙 ÿ", false, 1, false)
 	f.Fuzz(func(t *testing.T, text string, lowercase bool, minLen int, keepDigits bool) {
 		if minLen < 0 || minLen > 1<<16 {
 			return
 		}
 		opts := TokenizeOptions{Lowercase: lowercase, MinLen: minLen, KeepDigits: keepDigits}
 		tokens := Tokenize(text, opts)
+		if want := referenceTokenize(text, opts); !reflect.DeepEqual(tokens, want) {
+			t.Fatalf("Tokenize(%q, %+v) = %q, reference tokenizer gives %q", text, opts, tokens, want)
+		}
 		folded := text
 		if lowercase {
 			folded = strings.ToLower(text)
@@ -34,7 +41,7 @@ func FuzzTokenize(f *testing.F) {
 			if len([]rune(tok)) < minLen {
 				t.Fatalf("token %q shorter than MinLen %d", tok, minLen)
 			}
-			if !keepDigits && isAllDigits(tok) {
+			if !keepDigits && referenceAllDigits(tok) {
 				t.Fatalf("numeric token %q survived KeepDigits=false", tok)
 			}
 			for _, r := range tok {

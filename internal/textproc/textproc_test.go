@@ -65,6 +65,24 @@ func TestTokenizeBasic(t *testing.T) {
 			want: []string{"café", "naïve"},
 		},
 		{
+			name: "min length counts runes, not bytes",
+			in:   "北京 café ab 東京都",
+			opts: TokenizeOptions{Lowercase: true, MinLen: 3, KeepDigits: true},
+			want: []string{"café", "東京都"},
+		},
+		{
+			name: "non-ASCII digits are digits",
+			in:   "٣٤٥ ４２ abc٣",
+			opts: TokenizeOptions{Lowercase: true, MinLen: 1},
+			want: []string{"abc٣"},
+		},
+		{
+			name: "case folding can shorten a token",
+			in:   "\u0130STANBUL \u212Aelvin", // dotted capital I and the Kelvin sign
+			opts: DefaultTokenizeOptions(),
+			want: []string{"istanbul", "kelvin"},
+		},
+		{
 			name: "trailing token flushed",
 			in:   "abc def",
 			opts: DefaultTokenizeOptions(),

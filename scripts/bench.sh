@@ -5,9 +5,10 @@
 # Product-scale workers={1,2,4} fan-out matrix) plus the root package's
 # BenchmarkResolveStages (whose stage-<name>-ms metrics record the engine's
 # per-stage wall clock), BenchmarkFusionSharded100k (the 100k-record
-# component-sharded fusion matrix) and BenchmarkBlocking100k (the
+# component-sharded fusion matrix), BenchmarkBlocking100k (the
 # 100k-record candidate-generation matrix over the incremental index's
-# batch builder), pipes the output through
+# batch builder) and BenchmarkBuildCorpus100k (the 100k-record tokenize
+# stage: the chunked corpus builder), pipes the output through
 # cmd/erbenchjson, and writes BENCH_core.json at the repo root: ns/op,
 # B/op, allocs/op per kernel and worker count, per-stage timings under
 # stage_ms, each fan-out's speedup against the same run's workers=1, and
@@ -38,8 +39,8 @@ echo "==> go test -bench (benchtime $benchtime)" >&2
 go test ./internal/core/ -run xxx -bench 'ITER|CliqueRank|Fusion' \
     -benchmem -benchtime "$benchtime" -timeout 30m | tee results/bench_latest.txt
 
-echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k (stage timings, 100k matrices)" >&2
-go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k' $short \
+echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k (stage timings, 100k matrices)" >&2
+go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k' $short \
     -benchtime "$benchtime" -timeout 30m | tee -a results/bench_latest.txt
 
 echo "==> erbenchjson -> BENCH_core.json" >&2
