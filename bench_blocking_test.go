@@ -8,6 +8,7 @@ package er
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/blocking"
 	"repro/internal/textproc"
@@ -82,5 +83,50 @@ func BenchmarkBuildCorpus100k(b *testing.B) {
 				corpusSink = textproc.BuildCorpus(texts, copts)
 			}
 		})
+	}
+}
+
+// BenchmarkCollectionBulkLoad100k measures the streaming bulk load: the
+// same 100000-record synthetic corpus upserted one record at a time into an
+// empty Collection, the path every erserve mirror rebuild and the
+// stream-100k benchmark setup take. Besides ns/op (one whole load) it
+// reports the mean Upsert time of each quarter of the load as
+// upsert_us_q1..q4: a load that costs each upsert its blast radius keeps
+// the quarters level, while any per-upsert work that grows with the
+// corpus makes them climb. Skipped under -short: one load is
+// seconds-scale.
+func BenchmarkCollectionBulkLoad100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k bulk load is seconds-scale; skipped under -short")
+	}
+	d := SyntheticDataset(SyntheticConfig{
+		Records:       100000,
+		DuplicateRate: 0.3,
+		VocabSize:     50000,
+	})
+	n := d.NumRecords()
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%06d", i)
+	}
+	opts := DefaultOptions()
+	var quarter [4]time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col, err := NewCollection(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for q := range quarter {
+			start := time.Now()
+			for r := q * n / 4; r < (q+1)*n/4; r++ {
+				col.Upsert(ids[r], Record{Text: d.Text(r)})
+			}
+			quarter[q] += time.Since(start)
+		}
+	}
+	for q, wall := range quarter {
+		b.ReportMetric(float64(wall.Microseconds())/float64(b.N*(n/4)), fmt.Sprintf("upsert_us_q%d", q+1))
 	}
 }

@@ -13,7 +13,9 @@
 // Custom `<value> stage-<name>-ms` metrics (emitted by the root package's
 // BenchmarkResolveStages from the engine's stage trace) are folded into
 // each sample's stage_ms map, giving the baseline a per-stage wall-clock
-// breakdown. The JSON is the trajectory future PRs regress against:
+// breakdown; any other custom metric (such as the per-quarter upsert_us_qN
+// of BenchmarkCollectionBulkLoad100k) lands in the sample's metrics map
+// under its unit. The JSON is the trajectory future PRs regress against:
 // scripts/bench.sh regenerates it and CI uploads it as an artifact.
 package main
 
@@ -29,13 +31,14 @@ import (
 	"strings"
 )
 
-// benchLine matches `BenchmarkName[/sub...][-P]  iters  X ns/op [Y B/op  Z allocs/op]`;
+// benchLine matches `BenchmarkName[/sub...][-P]  iters  X ns/op [<value> <unit>...]`;
 // a trailing `/workers=N` path segment becomes the fan-out dimension.
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)`)
 
-// stageMetric matches the custom `<value> stage-<name>-ms` metrics the
-// root BenchmarkResolveStages emits from the engine's stage trace.
-var stageMetric = regexp.MustCompile(`([\d.]+(?:[eE][+-]?\d+)?) stage-([a-z]+)-ms`)
+// metric matches each `<value> <unit>` pair after ns/op: B/op and
+// allocs/op from -benchmem, and the custom metrics benchmarks report, in
+// whatever order the testing package prints them.
+var metric = regexp.MustCompile(`([\d.]+(?:[eE][+-]?\d+)?) (\S+)`)
 
 type sample struct {
 	NsOp     float64 `json:"ns_op"`
@@ -47,6 +50,8 @@ type sample struct {
 	// StageMs maps pipeline stage names to their wall-clock milliseconds,
 	// from the stage-<name>-ms metrics of BenchmarkResolveStages.
 	StageMs map[string]float64 `json:"stage_ms,omitempty"`
+	// Metrics holds every other custom metric by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type kernel struct {
@@ -91,19 +96,28 @@ func parse(lines *bufio.Scanner, rep *report) error {
 		}
 		s := &sample{}
 		s.NsOp, _ = strconv.ParseFloat(m[2], 64)
-		if m[3] != "" {
-			s.BytesOp, _ = strconv.ParseFloat(m[3], 64)
-			s.AllocsOp, _ = strconv.ParseFloat(m[4], 64)
-		}
-		for _, sm := range stageMetric.FindAllStringSubmatch(line, -1) {
-			v, err := strconv.ParseFloat(sm[1], 64)
+		for _, mm := range metric.FindAllStringSubmatch(m[3], -1) {
+			v, err := strconv.ParseFloat(mm[1], 64)
 			if err != nil {
 				continue
 			}
-			if s.StageMs == nil {
-				s.StageMs = map[string]float64{}
+			unit := mm[2]
+			switch stage, isStage := strings.CutPrefix(unit, "stage-"); {
+			case unit == "B/op":
+				s.BytesOp = v
+			case unit == "allocs/op":
+				s.AllocsOp = v
+			case isStage && strings.HasSuffix(stage, "-ms"):
+				if s.StageMs == nil {
+					s.StageMs = map[string]float64{}
+				}
+				s.StageMs[strings.TrimSuffix(stage, "-ms")] = v
+			default:
+				if s.Metrics == nil {
+					s.Metrics = map[string]float64{}
+				}
+				s.Metrics[unit] = v
 			}
-			s.StageMs[sm[2]] = v
 		}
 		k.Workers[workers] = s
 	}

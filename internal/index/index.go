@@ -1,7 +1,7 @@
 package index
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/textproc"
@@ -68,11 +68,18 @@ type Index struct {
 
 	// Interned vocabulary. Term IDs (iids) are stable across mutations;
 	// lexicographic order is maintained lazily in sorted/rankOf.
-	surfaces   []string
-	vocab      map[string]int32
-	df         []int32
-	stopped    []bool
-	postings   [][]int32 // iid -> sorted live rids
+	surfaces []string
+	vocab    map[string]int32
+	df       []int32
+	stopped  []bool
+	postings [][]int32 // iid -> sorted live rids
+	// Document-frequency buckets over the non-stopword terms with df >= 1:
+	// dfBucket[f] holds the iids whose df is f (in no particular order) and
+	// bucketPos[iid] is the iid's slot there. postingAdd/postingRemove move
+	// a term between buckets in O(1), so a frequency-band move visits only
+	// the terms inside the band instead of the whole vocabulary.
+	dfBucket   [][]int32
+	bucketPos  []int32
 	vocabDirty bool
 	sortedIIDs []int32 // iids in lexicographic surface order
 	rankOf     []int32 // iid -> position in sortedIIDs
@@ -92,9 +99,18 @@ type Index struct {
 	pairs map[uint64]int32 // Key(ridA, ridB) -> shared eligible-term count
 	adj   [][]int32        // rid -> partner rids; staleness resolved against pairs
 
-	// Mutation scratch, reused across calls.
-	cnt    []int32
-	marked []bool
+	// Mutation scratch, owned by the index and reused across calls so a
+	// mutation allocates only what it returns or retains. cnt and marked
+	// are indexed by rid and grow with the handle space in allocRid
+	// (amortized append, never a per-mutation resize); both are all-zero
+	// between uses.
+	cnt      []int32
+	marked   []bool
+	toks     []string // the upserted text's tokens
+	flips    []termFlip
+	affected []int32
+	row      []int32     // one candidate row's partner rids
+	removed  [][2]string // a deleted record's pairs, reported after the row patches
 
 	// Cached ascending-external-ID record order for Materialize.
 	order      []int32
@@ -170,6 +186,7 @@ func (ix *Index) intern(surface string) int32 {
 	_, banned := ix.stop[surface]
 	ix.stopped = append(ix.stopped, banned)
 	ix.postings = append(ix.postings, nil)
+	ix.bucketPos = append(ix.bucketPos, 0)
 	ix.vocabDirty = true
 	ix.denseValid = false
 	return iid
@@ -187,12 +204,14 @@ func (ix *Index) minSharedFloor() int32 {
 // Upsert inserts or replaces the record with the given external ID and
 // returns what changed in the candidate pair set.
 func (ix *Index) Upsert(id, text string, source int) Delta {
-	toks := textproc.Tokenize(text, ix.cfg.Corpus.Tokenize)
-	seq := make([]int32, len(toks))
-	for i, tk := range toks {
+	ix.toks = textproc.AppendTokens(ix.toks[:0], text, ix.cfg.Corpus.Tokenize)
+	seq := make([]int32, len(ix.toks))
+	for i, tk := range ix.toks {
 		seq[i] = ix.intern(tk)
 	}
-	terms := uniqueSorted(seq)
+	terms := slices.Clone(seq)
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
 
 	rid, exists := ix.byID[id]
 	var oldTerms []int32
@@ -235,6 +254,19 @@ func (ix *Index) maxKeptDFAt(n int) int32 {
 	return m
 }
 
+// termFlip records a term's pre-mutation corpus-kept and block-eligible
+// status, to be compared with its status after the mutation.
+type termFlip struct {
+	iid          int32
+	wasKept, was bool
+}
+
+// flipOf captures term t's current status under threshold maxDF.
+func (ix *Index) flipOf(t, maxDF int32) termFlip {
+	f := ix.df[t]
+	return termFlip{iid: t, wasKept: ix.keptAt(t, f, maxDF), was: ix.eligAt(t, f, maxDF)}
+}
+
 // applyMutation performs the shared structural update for Upsert/Delete:
 // swap the record's terms, adjust document frequencies and postings, find
 // every term whose eligibility flipped (df moved, or the frequency
@@ -244,60 +276,45 @@ func (ix *Index) maxKeptDFAt(n int) int32 {
 func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq []int32, source, maxBefore int32, keep bool) Delta {
 	maxAfter := ix.maxKeptDF()
 
-	// dfTouched: terms whose df changes (symmetric difference of the old
-	// and new term sets). Record each one's pre-mutation state.
-	type termFlip struct {
-		iid          int32
-		wasKept, was bool // corpus-kept / block-eligible before
-	}
-	var flips []termFlip
-	noteBefore := func(t int32) {
-		f := ix.df[t]
-		flips = append(flips, termFlip{
-			iid:     t,
-			wasKept: ix.keptAt(t, f, maxBefore),
-			was:     ix.eligAt(t, f, maxBefore),
-		})
-	}
-	forSymDiff(oldTerms, newTerms, func(t int32, inOld bool) {
-		noteBefore(t)
-		if inOld {
-			ix.postingRemove(t, rid)
-		} else {
-			ix.postingAdd(t, rid)
+	// Terms whose df changes: the symmetric difference of the old and new
+	// sorted term sets. Record each one's pre-mutation state, then move
+	// its posting.
+	flips := ix.flips[:0]
+	i, j := 0, 0
+	for i < len(oldTerms) || j < len(newTerms) {
+		switch {
+		case j == len(newTerms) || (i < len(oldTerms) && oldTerms[i] < newTerms[j]):
+			flips = append(flips, ix.flipOf(oldTerms[i], maxBefore))
+			ix.postingRemove(oldTerms[i], rid)
+			i++
+		case i == len(oldTerms) || newTerms[j] < oldTerms[i]:
+			flips = append(flips, ix.flipOf(newTerms[j], maxBefore))
+			ix.postingAdd(newTerms[j], rid)
+			j++
+		default:
+			i++
+			j++
 		}
-	})
+	}
 
 	// Threshold shift: when the kept band moved with the corpus size, any
-	// term sitting between the old and new thresholds flips. An O(V) scan
-	// finds them; the band moves at most every ~1/MaxDFRatio mutations and
-	// V is small next to the blocking scan this replaces. With no ratio cap
-	// the threshold n+1 moves on every mutation but exceeds every possible
-	// df, so no term can flip and the scan is skipped.
+	// term whose df sits between the old and new thresholds flips. The df
+	// buckets hand over exactly those terms; the band moves by at most one
+	// df per mutation at ratios below 1. With no ratio cap the threshold
+	// n+1 moves on every mutation but exceeds every possible df, so no term
+	// can flip and the scan is skipped.
 	if maxBefore != maxAfter && ix.cfg.Corpus.MaxDFRatio > 0 {
-		lo, hi := maxBefore, maxAfter
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		inDiff := func(t int32) bool {
-			for _, fl := range flips {
-				if fl.iid == t {
-					return true
+		diff := flips
+		//lint:ignore guardloop bounded by the terms inside a one-df band, then (below) by one record's term flips × capped posting lists; a single-record mutation never approaches batch scale
+		for f := min(maxBefore, maxAfter) + 1; f <= max(maxBefore, maxAfter) && int(f) < len(ix.dfBucket); f++ {
+			for _, t := range ix.dfBucket[f] {
+				if !slices.ContainsFunc(diff, func(fl termFlip) bool { return fl.iid == t }) {
+					flips = append(flips, ix.flipOf(t, maxBefore))
 				}
-			}
-			return false
-		}
-		for t := int32(0); t < int32(len(ix.df)); t++ {
-			f := ix.df[t]
-			if f > lo && f <= hi && !ix.stopped[t] && !inDiff(t) {
-				flips = append(flips, termFlip{
-					iid:     t,
-					wasKept: ix.keptAt(t, f, maxBefore),
-					was:     ix.eligAt(t, f, maxBefore),
-				})
 			}
 		}
 	}
+	ix.flips = flips
 
 	// Swap the record body.
 	ix.terms[rid] = newTerms
@@ -305,12 +322,9 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 	ix.sources[rid] = source
 
 	// Diff each candidate term's eligibility, patch docLens for kept
-	// flips, and collect the affected records.
-	affected := make(map[int32]struct{})
-	if keep {
-		affected[rid] = struct{}{}
-	}
-	//lint:ignore guardloop bounded by one record's term flips × capped posting lists; a single-record mutation never approaches batch scale
+	// flips, and collect the affected records (deduplicated through
+	// marked, which is cleared again before the rows are recomputed).
+	affected := ix.affected[:0]
 	for _, fl := range flips {
 		f := ix.df[fl.iid]
 		isKept := ix.keptAt(fl.iid, f, maxAfter)
@@ -327,23 +341,34 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		if isKept != fl.wasKept || isElig != fl.was {
 			ix.denseValid = false
 			for _, q := range ix.postings[fl.iid] {
-				affected[q] = struct{}{}
+				if !ix.marked[q] {
+					ix.marked[q] = true
+					affected = append(affected, q)
+				}
 			}
 		}
 	}
-	// The mutated record's own docLen is recomputed outright.
+	// The mutated record's own docLen is recomputed outright, and its row
+	// is always re-derived. A term leaving rid changes no other record's
+	// docLen, and a deleted record sits in no posting list any more.
 	if keep {
 		ix.docLen[rid] = ix.countKept(newTerms, maxAfter)
+		if !ix.marked[rid] {
+			affected = append(affected, rid)
+		}
 	}
-	// Records that only lost/gained rid-shared terms still need their
-	// docLen adjusted for terms whose kept status did NOT flip but whose
-	// membership in rid changed — those affect only rid's docLen, already
-	// recomputed. (A term leaving rid changes no other record's docLen.)
+	for _, q := range affected {
+		ix.marked[q] = false
+	}
+	// Deterministic processing order (ascending rid) so the Delta's pair
+	// lists are reproducible; the resulting table state is order-free.
+	slices.Sort(affected)
+	ix.affected = affected
 
-	delete(affected, rid)
 	if !keep {
-		// Removal: drop every pair involving rid directly.
-		var removed [][2]string
+		// Removal: drop every pair involving rid directly. They are
+		// reported after the patched rows' changes.
+		removed := ix.removed[:0]
 		for _, p := range ix.adj[rid] {
 			key := Key(rid, p)
 			if _, ok := ix.pairs[key]; ok {
@@ -352,6 +377,7 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 				ix.touchedIDs[ix.extID[p]] = struct{}{}
 			}
 		}
+		ix.removed = removed
 		ix.adj[rid] = nil
 		ix.touchedIDs[id] = struct{}{}
 		d := ix.recomputeRows(affected, maxAfter)
@@ -360,37 +386,26 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 		return d
 	}
 
-	affected[rid] = struct{}{}
 	ix.touchedIDs[id] = struct{}{}
 	return ix.recomputeRows(affected, maxAfter)
 }
 
-// recomputeRows re-derives the candidate rows of the affected records,
-// patching the pair table in place, or falls back to a full rebuild when
-// the affected set is a large fraction of the corpus.
-func (ix *Index) recomputeRows(affected map[int32]struct{}, maxDF int32) Delta {
-	if len(affected) == 0 {
+// recomputeRows re-derives the candidate rows of the affected records (in
+// the given order), patching the pair table in place, or falls back to a
+// full rebuild when the affected set is a large fraction of the corpus.
+func (ix *Index) recomputeRows(rids []int32, maxDF int32) Delta {
+	if len(rids) == 0 {
 		return Delta{}
 	}
-	if len(affected) > ix.rebuildThreshold() {
+	if len(rids) > ix.rebuildThreshold() {
 		ix.rebuildPairs(maxDF)
 		return Delta{Rebuilt: true}
 	}
-	// Deterministic processing order (ascending rid) so the Delta's pair
-	// lists are reproducible; the resulting table state is order-free.
-	rids := make([]int32, 0, len(affected))
-	for r := range affected {
-		rids = append(rids, r)
-	}
-	sort.Slice(rids, func(a, b int) bool { return rids[a] < rids[b] })
-
-	var d Delta
+	d := Delta{Touched: make([]string, 0, len(rids))}
 	for _, r := range rids {
 		ix.touchedIDs[ix.extID[r]] = struct{}{}
 		d.Touched = append(d.Touched, ix.extID[r])
-		add, rem := ix.recomputeRow(r, maxDF)
-		d.AddedPairs = append(d.AddedPairs, add...)
-		d.RemovedPairs = append(d.RemovedPairs, rem...)
+		ix.recomputeRow(r, maxDF, &d)
 	}
 	return d
 }
@@ -405,15 +420,15 @@ func (ix *Index) rebuildThreshold() int {
 	return t
 }
 
-// recomputeRow re-derives every candidate pair involving record r and
-// diffs it against the stored table.
-func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string) {
-	cnt := ix.scratchCnt()
-	marked := ix.scratchMarked()
+// recomputeRow re-derives every candidate pair involving record r, diffs
+// it against the stored table and appends the pairs it created and
+// destroyed to d.
+func (ix *Index) recomputeRow(r int32, maxDF int32, d *Delta) {
+	cnt, marked := ix.cnt, ix.marked
 	minShared := ix.minSharedFloor()
 	cross := ix.cfg.Block.CrossSourceOnly
 
-	var touched []int32
+	touched := ix.row[:0]
 	//lint:ignore guardloop bounded by one record's eligible terms × MaxTermRecords-capped posting lists; large affected sets take the rebuildPairs path, which polls
 	for _, t := range ix.terms[r] {
 		if !ix.eligAt(t, ix.df[t], maxDF) {
@@ -450,13 +465,13 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 			// Stale tombstones from earlier removals may linger in either
 			// adjacency; re-adding without the membership check would
 			// duplicate entries that then survive compaction forever.
-			if !containsInt32(ix.adj[r], q) {
+			if !slices.Contains(ix.adj[r], q) {
 				ix.adj[r] = append(ix.adj[r], q)
 			}
-			if !containsInt32(ix.adj[q], r) {
+			if !slices.Contains(ix.adj[q], r) {
 				ix.adj[q] = append(ix.adj[q], r)
 			}
-			added = append(added, ix.pairIDs(r, q))
+			d.AddedPairs = append(d.AddedPairs, ix.pairIDs(r, q))
 			ix.touchedIDs[ix.extID[q]] = struct{}{}
 		}
 		ix.pairs[key] = s
@@ -475,14 +490,14 @@ func (ix *Index) recomputeRow(r int32, maxDF int32) (added, removed [][2]string)
 			continue
 		}
 		delete(ix.pairs, key)
-		removed = append(removed, ix.pairIDs(r, p))
+		d.RemovedPairs = append(d.RemovedPairs, ix.pairIDs(r, p))
 		ix.touchedIDs[ix.extID[p]] = struct{}{}
 	}
 	ix.adj[r] = keepAdj
 	for _, q := range touched {
 		marked[q] = false
 	}
-	return added, removed
+	ix.row = touched
 }
 
 // pairIDs returns a pair's external IDs in (smaller rid, larger rid) order.
@@ -496,11 +511,11 @@ func (ix *Index) pairIDs(a, b int32) [2]string {
 // rebuildPairs recomputes the whole survivor table from the live records —
 // the fallback when a mutation's blast radius approaches the corpus.
 func (ix *Index) rebuildPairs(maxDF int32) {
-	ix.pairs = make(map[uint64]int32)
+	clear(ix.pairs)
 	for r := range ix.adj {
-		ix.adj[r] = nil
+		ix.adj[r] = ix.adj[r][:0]
 	}
-	cnt := ix.scratchCnt()
+	cnt := ix.cnt
 	minShared := ix.minSharedFloor()
 	cross := ix.cfg.Block.CrossSourceOnly
 	// The rebuild runs to completion even under cancellation: a mutation
@@ -514,7 +529,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 			continue
 		}
 		ix.touchedIDs[ix.extID[r]] = struct{}{}
-		var touched []int32
+		touched := ix.row[:0]
 		for _, t := range ix.terms[r] {
 			if !ix.eligAt(t, ix.df[t], maxDF) {
 				continue
@@ -549,6 +564,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 			ix.adj[ri] = append(ix.adj[ri], q)
 			ix.adj[q] = append(ix.adj[q], ri)
 		}
+		ix.row = touched
 	}
 }
 
@@ -577,6 +593,8 @@ func (ix *Index) allocRid(id string) int32 {
 		ix.sources = append(ix.sources, 0)
 		ix.docLen = append(ix.docLen, 0)
 		ix.adj = append(ix.adj, nil)
+		ix.cnt = append(ix.cnt, 0)
+		ix.marked = append(ix.marked, false)
 	}
 	ix.extID[rid] = id
 	ix.byID[id] = rid
@@ -595,95 +613,50 @@ func (ix *Index) releaseRid(rid int32, id string) {
 }
 
 // postingAdd inserts rid into a term's posting list (kept sorted) and
-// bumps its df.
+// bumps its df. Records loaded in handle order land past the tail, so the
+// common case is a plain append.
 func (ix *Index) postingAdd(t, rid int32) {
 	p := ix.postings[t]
-	i := sort.Search(len(p), func(k int) bool { return p[k] >= rid })
-	p = append(p, 0)
-	copy(p[i+1:], p[i:])
-	p[i] = rid
+	if n := len(p); n == 0 || p[n-1] < rid {
+		p = append(p, rid)
+	} else {
+		i, _ := slices.BinarySearch(p, rid)
+		p = slices.Insert(p, i, rid)
+	}
 	ix.postings[t] = p
-	ix.df[t]++
+	ix.setDF(t, ix.df[t]+1)
 }
 
 // postingRemove deletes rid from a term's posting list and drops its df.
 func (ix *Index) postingRemove(t, rid int32) {
 	p := ix.postings[t]
-	i := sort.Search(len(p), func(k int) bool { return p[k] >= rid })
-	if i < len(p) && p[i] == rid {
-		ix.postings[t] = append(p[:i], p[i+1:]...)
-		ix.df[t]--
+	if i, ok := slices.BinarySearch(p, rid); ok {
+		ix.postings[t] = slices.Delete(p, i, i+1)
+		ix.setDF(t, ix.df[t]-1)
 	}
 }
 
-// scratchCnt returns the all-zero per-record counter scratch, growing it to
-// the current handle space.
-func (ix *Index) scratchCnt() []int32 {
-	if cap(ix.cnt) < len(ix.extID) {
-		ix.cnt = make([]int32, len(ix.extID))
+// setDF sets term t's document frequency to f and moves the term to its
+// new df bucket (swap-remove from the old one). Stopwords never enter the
+// kept band, so they stay out of the buckets.
+func (ix *Index) setDF(t, f int32) {
+	old := ix.df[t]
+	ix.df[t] = f
+	if ix.stopped[t] {
+		return
 	}
-	ix.cnt = ix.cnt[:len(ix.extID)]
-	return ix.cnt
-}
-
-// scratchMarked returns the all-false per-record flag scratch.
-func (ix *Index) scratchMarked() []bool {
-	if cap(ix.marked) < len(ix.extID) {
-		ix.marked = make([]bool, len(ix.extID))
+	if old > 0 {
+		b := ix.dfBucket[old]
+		pos, last := ix.bucketPos[t], b[len(b)-1]
+		b[pos] = last
+		ix.bucketPos[last] = pos
+		ix.dfBucket[old] = b[:len(b)-1]
 	}
-	ix.marked = ix.marked[:len(ix.extID)]
-	return ix.marked
-}
-
-// containsInt32 reports membership by linear scan; adjacency rows are
-// survivor-bounded and short.
-func containsInt32(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+	if f > 0 {
+		for int(f) >= len(ix.dfBucket) {
+			ix.dfBucket = append(ix.dfBucket, nil)
 		}
+		ix.bucketPos[t] = int32(len(ix.dfBucket[f]))
+		ix.dfBucket[f] = append(ix.dfBucket[f], t)
 	}
-	return false
-}
-
-// forSymDiff walks the symmetric difference of two sorted term sets.
-func forSymDiff(old, new []int32, fn func(t int32, inOld bool)) {
-	i, j := 0, 0
-	for i < len(old) && j < len(new) {
-		switch {
-		case old[i] < new[j]:
-			fn(old[i], true)
-			i++
-		case old[i] > new[j]:
-			fn(new[j], false)
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		fn(old[i], true)
-	}
-	for ; j < len(new); j++ {
-		fn(new[j], false)
-	}
-}
-
-// uniqueSorted returns the sorted distinct values of a sequence.
-func uniqueSorted(seq []int32) []int32 {
-	if len(seq) == 0 {
-		return nil
-	}
-	out := make([]int32, len(seq))
-	copy(out, seq)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
 }

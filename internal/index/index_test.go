@@ -74,7 +74,8 @@ func requireCorporaEqual(t *testing.T, want, got *textproc.Corpus) {
 // that Materialize reproduces the from-scratch batch build bit for bit —
 // corpus and candidate graph. Configurations exercise the MaxDFRatio
 // threshold shifting with the corpus size, the MaxTermRecords cap, the
-// Jaccard floor and cross-source filtering.
+// Jaccard floor and cross-source filtering; the bulk-band subtest runs a
+// long load through a tight band and checks the Deltas as well.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	type scenario struct {
 		name string
@@ -170,6 +171,151 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				t.Fatalf("scenario exercised only %d mutations", ops)
 			}
 		})
+	}
+	t.Run("bulk-band", testBulkBand)
+}
+
+// pairSet returns a graph's candidate pairs as external-ID pairs (smaller
+// ID first).
+func pairSet(g *Graph, ids []string) map[[2]string]bool {
+	set := make(map[[2]string]bool, len(g.Pairs))
+	for _, p := range g.Pairs {
+		set[orderedPair([2]string{ids[p.I], ids[p.J]})] = true
+	}
+	return set
+}
+
+func orderedPair(p [2]string) [2]string {
+	if p[0] > p[1] {
+		p[0], p[1] = p[1], p[0]
+	}
+	return p
+}
+
+// testBulkBand is TestIncrementalMatchesBatch at bulk-load scale with a
+// tight MaxDFRatio over a small vocabulary: thousands of inserts move the
+// frequency band hundreds of times with many terms sitting inside it, and a
+// delete-heavy tail shrinks the corpus back across it. Every checkEvery
+// mutations the index must materialize the batch build bit for bit, and the
+// Deltas reported since the previous check, applied in order to the
+// previous batch graph's pair set, must produce exactly the new one: each
+// added pair absent before, each removed pair present. A window that
+// contains a pair-table rebuild reports no pair lists and is skipped.
+func testBulkBand(t *testing.T) {
+	cfg := Config{
+		Corpus: textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: 0.05, MinDF: 1},
+		Block:  BatchOptions{MinSharedTerms: 2, MinJaccard: 0.1},
+	}
+	const checkEvery = 100
+	rng := rand.New(rand.NewSource(2024))
+	text := func() string {
+		s := ""
+		for k := 3 + rng.Intn(4); k > 0; k-- {
+			// Ninety equally likely words at 4.5 words a record: every
+			// document frequency hovers around the 5% band.
+			s += fmt.Sprintf("w%d ", rng.Intn(90))
+		}
+		return s
+	}
+	ix := New(cfg)
+	model := make(map[string]liveRecord)
+	var live []string
+	want := map[[2]string]bool{}
+	valid := true
+	var checked, bandMoves, bandTerms int
+	mutate := func(insertBias int) {
+		maxBefore := ix.maxKeptDF()
+		var d Delta
+		switch r := rng.Intn(8); {
+		case r < insertBias || len(live) < 8:
+			id := fmt.Sprintf("r%05d", rng.Intn(100000))
+			if _, ok := model[id]; !ok {
+				live = append(live, id)
+			}
+			rec := liveRecord{text: text()}
+			model[id] = rec
+			d = ix.Upsert(id, rec.text, rec.source)
+		case r < insertBias+2:
+			k := rng.Intn(len(live))
+			rec := liveRecord{text: text()}
+			model[live[k]] = rec
+			d = ix.Upsert(live[k], rec.text, rec.source)
+		default:
+			k := rng.Intn(len(live))
+			id := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(model, id)
+			d, _ = ix.Delete(id)
+		}
+		if maxAfter := ix.maxKeptDF(); maxAfter != maxBefore {
+			bandMoves++
+			lo, hi := min(maxBefore, maxAfter), max(maxBefore, maxAfter)
+			for _, f := range ix.df {
+				if f > lo && f <= hi {
+					bandTerms++
+				}
+			}
+		}
+		if d.Rebuilt {
+			valid = false
+		}
+		if !valid {
+			return
+		}
+		for _, p := range d.RemovedPairs {
+			p = orderedPair(p)
+			if !want[p] {
+				t.Fatalf("Delta removed pair %v that was not a candidate", p)
+			}
+			delete(want, p)
+		}
+		for _, p := range d.AddedPairs {
+			p = orderedPair(p)
+			if want[p] {
+				t.Fatalf("Delta added pair %v that was already a candidate", p)
+			}
+			want[p] = true
+		}
+	}
+	check := func(step int) {
+		v := ix.Materialize()
+		wantC, wantG, wantIDs, _ := batchView(t, model, cfg)
+		if !reflect.DeepEqual(wantIDs, v.IDs) {
+			t.Fatalf("step %d: id order mismatch", step)
+		}
+		requireCorporaEqual(t, wantC, v.Corpus)
+		requireGraphsEqual(t, wantG, v.Graph)
+		batch := pairSet(wantG, wantIDs)
+		if valid {
+			if !reflect.DeepEqual(want, batch) {
+				t.Fatalf("step %d: Deltas since the last check compose to %d pairs, batch graph has %d",
+					step, len(want), len(batch))
+			}
+			checked++
+		}
+		want, valid = batch, true
+	}
+	// Load (five inserts, two revisions and one delete per eight mutations
+	// on average), then shrink (one insert, two revisions, five deletes).
+	step := 0
+	for ; step < 4000; step++ {
+		mutate(5)
+		if step%checkEvery == checkEvery-1 {
+			check(step)
+		}
+	}
+	for ; step < 5200; step++ {
+		mutate(1)
+		if step%checkEvery == checkEvery-1 {
+			check(step)
+		}
+	}
+	t.Logf("%d band moves over %d in-band terms; %d of %d windows verified by Delta composition",
+		bandMoves, bandTerms, checked, step/checkEvery)
+	if bandMoves < 150 || bandTerms < 500 || checked < step/checkEvery/2 {
+		t.Fatalf("scenario too weak: %d band moves, %d in-band terms, %d verified windows",
+			bandMoves, bandTerms, checked)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	er "repro"
@@ -163,9 +164,17 @@ func (s *Server) resolveCollectionDelta(ctx context.Context, name string) (*er.R
 		if err != nil {
 			return nil, err
 		}
-		// Upsert order does not matter: the incremental resolver's result is
-		// mutation-order independent.
-		for id, rec := range rebuild {
+		// The resolved result is mutation-order independent, but the
+		// index's layout is not: upserting in ascending ID order makes
+		// record handles follow IDs, so every rebuild lays the mirror out
+		// the same way and each posting insert is an append.
+		ids := make([]string, 0, len(rebuild))
+		for id := range rebuild {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			rec := rebuild[id]
 			col.Upsert(id, er.Record{Text: rec.Text, Source: rec.Source, Entity: rec.Entity})
 		}
 		r.col = col

@@ -33,12 +33,18 @@ func DefaultTokenizeOptions() TokenizeOptions {
 // tokens, which is essential for the discriminative-term analysis. The
 // returned tokens are substrings of the (case-folded) text.
 func Tokenize(text string, opts TokenizeOptions) []string {
-	var tokens []string
+	return AppendTokens(nil, text, opts)
+}
+
+// AppendTokens appends the tokens of text, as Tokenize splits them, to dst
+// and returns the extended slice, so a caller tokenizing one text at a
+// time can reuse one buffer.
+func AppendTokens(dst []string, text string, opts TokenizeOptions) []string {
 	s := newScanner(text, opts)
 	for tok, ok := s.next(); ok; tok, ok = s.next() {
-		tokens = append(tokens, tok)
+		dst = append(dst, tok)
 	}
-	return tokens
+	return dst
 }
 
 // asciiClass classifies the ASCII bytes for the scanner's fast path.

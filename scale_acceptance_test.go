@@ -31,6 +31,13 @@ const (
 	// tokenize + block + fuse + cluster) of the same corpus — the cost a
 	// caller without the incremental index pays per refresh.
 	scaleDeltaRatio = 10
+	// scaleLoadQuarterRatio bounds how much slower the last quarter of the
+	// 100k bulk load may upsert than the first. Each Upsert costs its blast
+	// radius, which this corpus keeps roughly level, so the ratio is
+	// machine-independent: ~1.5 when the load is linear (the growing heap
+	// and maps still cost a little), ~4 when every upsert paid for the
+	// whole handle space and vocabulary.
+	scaleLoadQuarterRatio = 2.5
 )
 
 func TestScale100kAcceptance(t *testing.T) {
@@ -79,8 +86,20 @@ func TestScale100kAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < d.NumRecords(); i++ {
-		col.Upsert(fmt.Sprintf("r%06d", i), Record{Text: d.Text(i)})
+	n := d.NumRecords()
+	var quarter [4]time.Duration
+	for q := range quarter {
+		start := time.Now()
+		for i := q * n / 4; i < (q+1)*n/4; i++ {
+			col.Upsert(fmt.Sprintf("r%06d", i), Record{Text: d.Text(i)})
+		}
+		quarter[q] = time.Since(start)
+	}
+	loadWall := quarter[0] + quarter[1] + quarter[2] + quarter[3]
+	t.Logf("bulk load: %v (%v / %v / %v / %v per quarter)", loadWall, quarter[0], quarter[1], quarter[2], quarter[3])
+	if float64(quarter[3]) > scaleLoadQuarterRatio*float64(quarter[0]) {
+		t.Errorf("last quarter of the bulk load took %v, more than %.1fx the first quarter's %v: Upsert cost grows with the corpus",
+			quarter[3], scaleLoadQuarterRatio, quarter[0])
 	}
 	start = time.Now()
 	cold, err := col.Resolve()

@@ -7,17 +7,19 @@
 # per-stage wall clock), BenchmarkFusionSharded100k (the 100k-record
 # component-sharded fusion matrix), BenchmarkBlocking100k (the
 # 100k-record candidate-generation matrix over the incremental index's
-# batch builder) and BenchmarkBuildCorpus100k (the 100k-record tokenize
-# stage: the chunked corpus builder), pipes the output through
+# batch builder), BenchmarkBuildCorpus100k (the 100k-record tokenize
+# stage: the chunked corpus builder) and BenchmarkCollectionBulkLoad100k
+# (the 100k-record streaming load through Collection.Upsert, with the mean
+# upsert time per quarter of the load), pipes the output through
 # cmd/erbenchjson, and writes BENCH_core.json at the repo root: ns/op,
 # B/op, allocs/op per kernel and worker count, per-stage timings under
-# stage_ms, each fan-out's speedup against the same run's workers=1, and
-# the serial speedup against the committed pre-optimization seed in
-# results/bench_baseline_seed.txt.
+# stage_ms, other custom metrics under metrics, each fan-out's speedup
+# against the same run's workers=1, and the serial speedup against the
+# committed pre-optimization seed in results/bench_baseline_seed.txt.
 #
 #   scripts/bench.sh            # full run (benchtime 2s; minutes)
 #   scripts/bench.sh -quick     # CI smoke: benchtime 50ms and -short (the
-#                               # seconds-scale 100k corpus bench is
+#                               # seconds-scale 100k corpus benches are
 #                               # skipped); timing is noise, but the file
 #                               # shape and the alloc counts
 #                               # (benchtime-independent) stay meaningful
@@ -39,8 +41,8 @@ echo "==> go test -bench (benchtime $benchtime)" >&2
 go test ./internal/core/ -run xxx -bench 'ITER|CliqueRank|Fusion' \
     -benchmem -benchtime "$benchtime" -timeout 30m | tee results/bench_latest.txt
 
-echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k (stage timings, 100k matrices)" >&2
-go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k' $short \
+echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k + CollectionBulkLoad100k (stage timings, 100k matrices)" >&2
+go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k|CollectionBulkLoad100k' $short \
     -benchtime "$benchtime" -timeout 30m | tee -a results/bench_latest.txt
 
 echo "==> erbenchjson -> BENCH_core.json" >&2
