@@ -7,6 +7,7 @@ package er
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -129,4 +130,91 @@ func BenchmarkCollectionBulkLoad100k(b *testing.B) {
 	for q, wall := range quarter {
 		b.ReportMetric(float64(wall.Microseconds())/float64(b.N*(n/4)), fmt.Sprintf("upsert_us_q%d", q+1))
 	}
+}
+
+// BenchmarkCollectionRefresh100k measures the warm delta path: the same
+// 100000-record synthetic corpus, loaded into a Collection with its
+// entity labels and cold-resolved outside the timer; each iteration then
+// applies 50 seeded mutations (half text revisions that append a fresh
+// token, a quarter deletions, a quarter re-insertions of the most recently
+// deleted record at its original text) and resolves. Besides ns/op (one
+// refresh) it reports from Result.Trace the mean materialize stage wall as
+// materialize_ms and the mean engine.DeltaFuse wall (its partition and
+// deltafuse stages) as deltafuse_ms. Skipped under -short: the load and
+// cold resolve are seconds-scale.
+func BenchmarkCollectionRefresh100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k load and cold resolve are seconds-scale; skipped under -short")
+	}
+	d := SyntheticDataset(SyntheticConfig{
+		Records:       100000,
+		DuplicateRate: 0.3,
+		VocabSize:     50000,
+	})
+	n := d.NumRecords()
+	ids := make([]string, n)
+	recs := make([]Record, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%06d", i)
+		recs[i] = Record{Text: d.Text(i), Entity: fmt.Sprint(d.ds.Records[i].EntityID)}
+	}
+	col, err := NewCollection(DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, id := range ids {
+		col.Upsert(id, recs[i])
+	}
+	if _, err := col.Resolve(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+	}
+	var deleted []int
+	rev := 0
+	mutate := func() {
+		switch r := rng.Intn(4); {
+		case r < 2 || (r == 3 && len(deleted) == 0):
+			i := live[rng.Intn(len(live))]
+			rev++
+			col.Upsert(ids[i], Record{Text: fmt.Sprintf("%s rev%d", recs[i].Text, rev), Entity: recs[i].Entity})
+		case r == 2:
+			k := rng.Intn(len(live))
+			i := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			deleted = append(deleted, i)
+			col.Delete(ids[i])
+		default:
+			i := deleted[len(deleted)-1]
+			deleted = deleted[:len(deleted)-1]
+			live = append(live, i)
+			col.Upsert(ids[i], recs[i])
+		}
+	}
+	var materialize, deltafuse time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for k := 0; k < 50; k++ {
+			mutate()
+		}
+		res, err := col.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := res.Trace.Find("materialize"); st != nil {
+			materialize += st.Wall
+		}
+		for _, stage := range []string{"partition", "deltafuse"} {
+			if st := res.Trace.Find(stage); st != nil {
+				deltafuse += st.Wall
+			}
+		}
+	}
+	b.ReportMetric(float64(materialize.Microseconds())/1e3/float64(b.N), "materialize_ms")
+	b.ReportMetric(float64(deltafuse.Microseconds())/1e3/float64(b.N), "deltafuse_ms")
 }

@@ -2,6 +2,8 @@ package er
 
 import (
 	"context"
+	"slices"
+	"sort"
 
 	"repro/internal/blocking"
 	"repro/internal/engine"
@@ -50,10 +52,33 @@ type DeltaStats struct {
 //
 // A Collection is not safe for concurrent use; callers serialize access.
 type Collection struct {
-	opts     Options
-	ix       *index.Index
-	entities map[string]string
-	cache    *engine.Cache
+	opts  Options
+	ix    *index.Index
+	cache *engine.Cache
+
+	// Ground truth, kept current by Upsert and Delete so a resolve never
+	// recounts it: each labeled record's label, the records per entity and
+	// per entity×source, and from those the number of same-entity record
+	// pairs (samePairs) and of those within one source (sameSourcePairs).
+	labels                     map[string]recordLabel
+	perEntity                  map[string]int
+	perEntitySource            map[recordLabel]int
+	samePairs, sameSourcePairs int
+
+	// Entities by record position for the ID order of the last evaluated
+	// resolve (lastIDs, a private copy), and the IDs upserted or deleted
+	// since: the next evaluation patches posEntity at those IDs instead of
+	// looking every record's label up. lastIDs is nil when there is
+	// nothing to patch.
+	lastIDs   []string
+	posEntity []string
+	changed   map[string]struct{}
+}
+
+// recordLabel is a labeled record's ground-truth entity and its source.
+type recordLabel struct {
+	entity string
+	source int
 }
 
 // NewCollection returns an empty collection under the given options
@@ -83,8 +108,11 @@ func NewCollection(opts Options) (*Collection, error) {
 				Workers:         opts.Workers,
 			},
 		}),
-		entities: make(map[string]string),
-		cache:    cache,
+		cache:           cache,
+		labels:          make(map[string]recordLabel),
+		perEntity:       make(map[string]int),
+		perEntitySource: make(map[recordLabel]int),
+		changed:         make(map[string]struct{}),
 	}, nil
 }
 
@@ -94,11 +122,16 @@ func (c *Collection) Len() int { return c.ix.Len() }
 // Upsert inserts or replaces the record stored under id and returns what
 // the mutation changed in the candidate pair set.
 func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
+	c.unlabel(id)
 	if rec.Entity != "" {
-		c.entities[id] = rec.Entity
-	} else {
-		delete(c.entities, id)
+		l := recordLabel{entity: rec.Entity, source: rec.Source}
+		c.samePairs += c.perEntity[l.entity]
+		c.perEntity[l.entity]++
+		c.sameSourcePairs += c.perEntitySource[l]
+		c.perEntitySource[l]++
+		c.labels[id] = l
 	}
+	c.noteChanged(id)
 	return fromIndexDelta(c.ix.Upsert(id, rec.Text, rec.Source))
 }
 
@@ -106,9 +139,92 @@ func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
 func (c *Collection) Delete(id string) (CollectionDelta, bool) {
 	d, ok := c.ix.Delete(id)
 	if ok {
-		delete(c.entities, id)
+		c.unlabel(id)
+		c.noteChanged(id)
 	}
 	return fromIndexDelta(d), ok
+}
+
+// unlabel drops id's ground-truth label, if it has one, from the counts.
+func (c *Collection) unlabel(id string) {
+	l, ok := c.labels[id]
+	if !ok {
+		return
+	}
+	delete(c.labels, id)
+	entity := c.perEntity[l.entity] - 1
+	if entity == 0 {
+		delete(c.perEntity, l.entity)
+	} else {
+		c.perEntity[l.entity] = entity
+	}
+	c.samePairs -= entity
+	same := c.perEntitySource[l] - 1
+	if same == 0 {
+		delete(c.perEntitySource, l)
+	} else {
+		c.perEntitySource[l] = same
+	}
+	c.sameSourcePairs -= same
+}
+
+// noteChanged queues id for the next evaluation's posEntity patch, or
+// drops the patch state once the queue outgrows a small share of the
+// records, where a full lookup is about as cheap.
+func (c *Collection) noteChanged(id string) {
+	if c.lastIDs == nil {
+		return
+	}
+	c.changed[id] = struct{}{}
+	if len(c.changed) > max(64, len(c.lastIDs)/16) {
+		c.lastIDs = nil
+		clear(c.changed)
+	}
+}
+
+// entitiesAt returns the entity label at every position of ids, the
+// ascending live IDs of this resolve ("" for an unlabeled record). With
+// the previous evaluation's array at hand it is patched: the IDs changed
+// since are dropped from their old positions and looked up at their new
+// ones, and every other record keeps its label and relative order — a
+// flat pass, not a map lookup per record.
+func (c *Collection) entitiesAt(ids []string) []string {
+	ents := make([]string, len(ids))
+	if c.lastIDs == nil {
+		for pos, id := range ids {
+			ents[pos] = c.labels[id].entity
+		}
+	} else {
+		var drop, add []int
+		for id := range c.changed {
+			if pos, ok := slices.BinarySearch(c.lastIDs, id); ok {
+				drop = append(drop, pos)
+			}
+			if pos, ok := slices.BinarySearch(ids, id); ok {
+				add = append(add, pos)
+			}
+		}
+		sort.Ints(drop)
+		sort.Ints(add)
+		old := 0
+		for pos := range ents {
+			if len(add) > 0 && add[0] == pos {
+				ents[pos] = c.labels[ids[pos]].entity
+				add = add[1:]
+				continue
+			}
+			for len(drop) > 0 && drop[0] == old {
+				drop = drop[1:]
+				old++
+			}
+			ents[pos] = c.posEntity[old]
+			old++
+		}
+	}
+	c.lastIDs = append(c.lastIDs[:0], ids...)
+	c.posEntity = ents
+	clear(c.changed)
+	return ents
 }
 
 func fromIndexDelta(d index.Delta) CollectionDelta {
@@ -126,9 +242,9 @@ func (c *Collection) Resolve() (*Result, error) {
 }
 
 // ResolveContext resolves the collection's current state: it materializes
-// the corpus and candidate graph from the index (bit-identical to a batch
-// build over the live records in ascending external-ID order), partitions
-// the candidate graph into connected components, and fuses each component —
+// the candidate graph from the index (bit-identical to a batch build over
+// the live records in ascending external-ID order), partitions the
+// candidate graph into connected components, and fuses each component —
 // reusing every component whose content key already has a memoized result,
 // so a resolve after a small mutation re-fuses only what the mutation
 // touched. Record positions in the Result (Matches, Clusters) index
@@ -185,8 +301,8 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 		pr := v.Graph.Pairs[k]
 		res.Matches = append(res.Matches, Match{I: int(pr.I), J: int(pr.J), Probability: out.P[k]})
 	}
-	if truth, ok := c.truthFor(v); ok {
-		prf, err := engine.Evaluate(run, v.Graph.Pairs, out.Matches, truth, len(truth))
+	if truth, totalTrue, ok := c.truthFor(v); ok {
+		prf, err := engine.Evaluate(run, v.Graph.Pairs, out.Matches, truth, totalTrue)
 		if err != nil {
 			return nil, wrapRunErr(ctx, err)
 		}
@@ -201,32 +317,29 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	return res, nil
 }
 
-// truthFor derives the ground-truth matching pairs over the materialized
+// truthFor returns the ground truth Evaluate needs over the materialized
 // record order, following the batch convention: every record must be
-// labeled, and under CrossSourceOnly only cross-source pairs count.
-func (c *Collection) truthFor(v *index.View) (map[uint64]bool, bool) {
-	if len(c.entities) != len(v.IDs) {
-		return nil, false
+// labeled, and under CrossSourceOnly only cross-source pairs count. The
+// count of true pairs comes from the label counts; the map holds only the
+// candidate pairs whose endpoints share a label, the only pairs Evaluate
+// looks up.
+func (c *Collection) truthFor(v *index.View) (truth map[uint64]bool, totalTrue int, ok bool) {
+	if len(c.labels) != len(v.IDs) {
+		c.lastIDs = nil
+		clear(c.changed)
+		return nil, 0, false
 	}
-	byEntity := make(map[string][]int32)
-	for pos, id := range v.IDs {
-		label, ok := c.entities[id]
-		if !ok {
-			return nil, false
-		}
-		byEntity[label] = append(byEntity[label], int32(pos))
+	cross := c.opts.CrossSourceOnly
+	totalTrue = c.samePairs
+	if cross {
+		totalTrue -= c.sameSourcePairs
 	}
-	truth := make(map[uint64]bool)
-	for _, recs := range byEntity {
-		for a := 0; a < len(recs); a++ {
-			for b := a + 1; b < len(recs); b++ {
-				i, j := recs[a], recs[b]
-				if c.opts.CrossSourceOnly && v.Sources[i] == v.Sources[j] {
-					continue
-				}
-				truth[blocking.Key(i, j)] = true
-			}
+	ents := c.entitiesAt(v.IDs)
+	truth = make(map[uint64]bool)
+	for _, p := range v.Graph.Pairs {
+		if ents[p.I] == ents[p.J] && (!cross || v.Sources[p.I] != v.Sources[p.J]) {
+			truth[blocking.Key(p.I, p.J)] = true
 		}
 	}
-	return truth, true
+	return truth, totalTrue, true
 }

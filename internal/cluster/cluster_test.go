@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/blocking"
+	"repro/internal/graph"
 )
 
 func TestFromMatchesTransitiveClosure(t *testing.T) {
@@ -22,6 +26,42 @@ func TestFromMatchesTransitiveClosure(t *testing.T) {
 	}
 	if len(clusters[2]) != 1 || clusters[2][0] != 5 {
 		t.Errorf("singleton = %v, want [5]", clusters[2])
+	}
+}
+
+// TestFromMatchesOrderMatchesSort pins FromMatches' bucket ordering to the
+// comparison sort it replaced (size descending, then smallest member) on
+// random match graphs with many equal-size clusters.
+func TestFromMatchesOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		var pairs []blocking.Pair
+		var matched []bool
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			i, j := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if i == j {
+				continue
+			}
+			pairs = append(pairs, blocking.Pair{I: min(i, j), J: max(i, j)})
+			matched = append(matched, rng.Intn(3) != 0)
+		}
+		u := graph.NewUnionFind(n)
+		for k, p := range pairs {
+			if matched[k] {
+				u.Union(int(p.I), int(p.J))
+			}
+		}
+		want := u.Groups(1)
+		slices.SortStableFunc(want, func(a, b []int) int {
+			if len(a) != len(b) {
+				return len(b) - len(a)
+			}
+			return a[0] - b[0]
+		})
+		if got := FromMatches(n, pairs, matched); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: clusters %v, sorted groups %v", trial, got, want)
+		}
 	}
 }
 

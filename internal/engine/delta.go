@@ -31,26 +31,31 @@ type DeltaStats struct {
 	PairsReused, PairsFused int
 }
 
-// component is one connected component of the candidate graph: its global
-// record IDs and global pair IDs, both ascending.
-type component struct {
-	records []int32
-	pairs   []int32
-}
-
 // partition is the component decomposition of a candidate graph plus the
-// global→local renumbering arrays. Record and pair membership is unique, so
-// one flat array per dimension serves every component at once — the
-// delta path's hot loops stay map-free.
+// global→local renumbering arrays, in flat CSR layout: component ci's
+// records are records[recPtr[ci]:recPtr[ci+1]] (ascending), its pairs are
+// pairs[pairPtr[ci]:pairPtr[ci+1]] (ascending pair ID, which is local pair
+// order) and byKey over the same range holds them in pair-key order.
+// Record and pair membership is unique, so one flat array per dimension
+// serves every component at once — the delta path's hot loops stay
+// map-free and allocate nothing per component.
 type partition struct {
-	comps []component
+	recPtr, records []int32
+	pairPtr, pairs  []int32
+	byKey           []int32
 	// recLocal / pairLocal give a record's / pair's local index within its
 	// component (-1 for records in no pair).
 	recLocal  []int32
 	pairLocal []int32
-	// pairComp gives a pair's component index.
-	pairComp []int32
 }
+
+// numComps returns the number of components.
+func (p *partition) numComps() int { return len(p.recPtr) - 1 }
+
+// compRecords / compPairs / compByKey return component ci's slices.
+func (p *partition) compRecords(ci int) []int32 { return p.records[p.recPtr[ci]:p.recPtr[ci+1]] }
+func (p *partition) compPairs(ci int) []int32   { return p.pairs[p.pairPtr[ci]:p.pairPtr[ci+1]] }
+func (p *partition) compByKey(ci int) []int32   { return p.byKey[p.pairPtr[ci]:p.pairPtr[ci+1]] }
 
 // partitionCandidates splits the candidate graph into connected components
 // over its pairs. The decomposition mirrors core's component sharding:
@@ -64,103 +69,203 @@ func partitionCandidates(g *blocking.Graph, numRecords int) *partition {
 		inPair[pr.I] = true
 		inPair[pr.J] = true
 	}
-	compIdx := make([]int32, numRecords)
+	np := g.NumPairs()
 	compOf := make([]int32, numRecords)
-	for i := range compIdx {
-		compIdx[i] = -1
+	for r := range compOf {
+		compOf[r] = -1
 	}
-	n := 0
+	var recPtr []int32
 	for r := 0; r < numRecords; r++ {
 		if !inPair[r] {
-			compOf[r] = -1
 			continue
 		}
 		root := uf.Find(r)
-		if compIdx[root] < 0 {
-			compIdx[root] = int32(n)
-			n++
+		if compOf[root] < 0 {
+			compOf[root] = int32(len(recPtr))
+			recPtr = append(recPtr, 0)
 		}
-		compOf[r] = compIdx[root]
+		compOf[r] = compOf[root]
 	}
+	nc := len(recPtr)
 	part := &partition{
-		comps:     make([]component, n),
+		recPtr:    append(recPtr, 0),
+		records:   make([]int32, 0, numRecords),
+		pairPtr:   make([]int32, nc+1),
+		pairs:     make([]int32, np),
+		byKey:     make([]int32, np),
 		recLocal:  make([]int32, numRecords),
-		pairLocal: make([]int32, g.NumPairs()),
-		pairComp:  make([]int32, g.NumPairs()),
+		pairLocal: make([]int32, np),
 	}
+	// Counting sorts by component. Records and pairs are visited in
+	// ascending global order, so each component's ranges come out
+	// ascending; a third pass over the pairs in key order fills byKey.
+	for r := 0; r < numRecords; r++ {
+		if ci := compOf[r]; ci >= 0 {
+			part.recPtr[ci+1]++
+		}
+	}
+	for _, pr := range g.Pairs {
+		part.pairPtr[compOf[pr.I]+1]++
+	}
+	for ci := 0; ci < nc; ci++ {
+		part.recPtr[ci+1] += part.recPtr[ci]
+		part.pairPtr[ci+1] += part.pairPtr[ci]
+	}
+	part.records = part.records[:part.recPtr[nc]]
+	fill := make([]int32, nc)
+	copy(fill, part.recPtr[:nc])
 	for r := 0; r < numRecords; r++ {
 		ci := compOf[r]
 		if ci < 0 {
 			part.recLocal[r] = -1
 			continue
 		}
-		part.recLocal[r] = int32(len(part.comps[ci].records))
-		part.comps[ci].records = append(part.comps[ci].records, int32(r))
+		part.recLocal[r] = fill[ci] - part.recPtr[ci]
+		part.records[fill[ci]] = int32(r)
+		fill[ci]++
 	}
+	copy(fill, part.pairPtr[:nc])
 	for pid, pr := range g.Pairs {
 		ci := compOf[pr.I]
-		part.pairComp[pid] = ci
-		part.pairLocal[pid] = int32(len(part.comps[ci].pairs))
-		part.comps[ci].pairs = append(part.comps[ci].pairs, int32(pid))
+		part.pairLocal[pid] = fill[ci] - part.pairPtr[ci]
+		part.pairs[fill[ci]] = int32(pid)
+		fill[ci]++
+	}
+	copy(fill, part.pairPtr[:nc])
+	for _, pid := range pairsByKey(g, numRecords) {
+		ci := compOf[g.Pairs[pid].I]
+		part.byKey[fill[ci]] = pid
+		fill[ci]++
 	}
 	return part
 }
 
-// componentTerms collects the distinct global terms touching a component's
-// pairs, ascending. seen is an all-false scratch over terms, restored
-// before returning.
-func componentTerms(g *blocking.Graph, comp *component, seen []bool) []int32 {
-	var terms []int32
+// pairsByKey returns the graph's pair IDs in ascending pair-key order
+// (smaller record, then larger): two stable counting sorts, by the larger
+// endpoint and then by the smaller.
+func pairsByKey(g *blocking.Graph, numRecords int) []int32 {
+	np := g.NumPairs()
+	cnt := make([]int32, numRecords+1)
+	tmp := make([]int32, np)
+	out := make([]int32, np)
+	for _, pr := range g.Pairs {
+		cnt[pr.J+1]++
+	}
+	for r := 0; r < numRecords; r++ {
+		cnt[r+1] += cnt[r]
+	}
+	for pid, pr := range g.Pairs {
+		tmp[cnt[pr.J]] = int32(pid)
+		cnt[pr.J]++
+	}
+	clear(cnt)
+	for _, pr := range g.Pairs {
+		cnt[pr.I+1]++
+	}
+	for r := 0; r < numRecords; r++ {
+		cnt[r+1] += cnt[r]
+	}
+	for _, pid := range tmp {
+		i := g.Pairs[pid].I
+		out[cnt[i]] = pid
+		cnt[i]++
+	}
+	return out
+}
+
+// compTerms is one component's term–pair structure: its distinct global
+// terms ascending, and per local term (by position in terms) the local
+// pairs touching it in pair-key order, as refs[ptr[lt]:ptr[lt+1]].
+type compTerms struct {
+	terms, ptr, refs []int32
+	// termLocal is an all -1 scratch over the global terms, restored
+	// before localTerms returns.
+	termLocal []int32
+}
+
+// localTerms fills ct with component ci's term structure by walking the
+// component's own pairs through the pair→term transpose — work
+// proportional to the component, however many other components share its
+// terms.
+func (ct *compTerms) localTerms(g *blocking.Graph, part *partition, ci int) {
+	byKey := part.compByKey(ci)
+	ct.terms = ct.terms[:0]
+	nrefs := 0
 	//lint:ignore guardloop bounded by one component's pair-term lists; DeltaFuse polls the checkpoint per component
-	for _, pid := range comp.pairs {
+	for _, pid := range byKey {
 		for _, t := range g.PairTerms[g.PairTermPtr[pid]:g.PairTermPtr[pid+1]] {
-			if !seen[t] {
-				seen[t] = true
-				terms = append(terms, t)
+			if ct.termLocal[t] < 0 {
+				ct.termLocal[t] = 0
+				ct.terms = append(ct.terms, t)
 			}
+			nrefs++
 		}
 	}
-	for _, t := range terms {
-		seen[t] = false
+	slices.Sort(ct.terms)
+	nt := len(ct.terms)
+	ct.ptr = slices.Grow(ct.ptr[:0], nt+1)[:nt+1]
+	clear(ct.ptr)
+	for lt, t := range ct.terms {
+		ct.termLocal[t] = int32(lt)
 	}
-	slices.Sort(terms)
-	return terms
+	for _, pid := range byKey {
+		for _, t := range g.PairTerms[g.PairTermPtr[pid]:g.PairTermPtr[pid+1]] {
+			ct.ptr[ct.termLocal[t]+1]++
+		}
+	}
+	for lt := 0; lt < nt; lt++ {
+		ct.ptr[lt+1] += ct.ptr[lt]
+	}
+	// Fill with ptr[lt] as the cursor of term lt, then shift the cursors
+	// (now each term's end) back into starts.
+	ct.refs = slices.Grow(ct.refs[:0], nrefs)[:nrefs]
+	for _, pid := range byKey {
+		lp := part.pairLocal[pid]
+		for _, t := range g.PairTerms[g.PairTermPtr[pid]:g.PairTermPtr[pid+1]] {
+			lt := ct.termLocal[t]
+			ct.refs[ct.ptr[lt]] = lp
+			ct.ptr[lt]++
+		}
+	}
+	copy(ct.ptr[1:], ct.ptr[:nt])
+	ct.ptr[0] = 0
+	for _, t := range ct.terms {
+		ct.termLocal[t] = -1
+	}
 }
 
 // componentKey derives the content key of one component's fusion result: a
 // hash over the fusion options and the component's localized structure —
-// local pair endpoints plus each touching term's local pair list, in
-// ascending global term order but without global term identities. Fusion
-// reads nothing but this topology (ITER and CliqueRank are pure functions
-// of the term–pair and record–record structure), so components with equal
-// keys — across mutations, collections, even within one corpus — have
-// bit-identical local results.
+// local pair endpoints plus each touching term's local pair list (in pair-
+// key order), in ascending global term order but without global term
+// identities. Fusion reads nothing but this topology (ITER and CliqueRank
+// are pure functions of the term–pair and record–record structure), so
+// components with equal keys — across mutations, collections, even within
+// one corpus — have bit-identical local results.
 // The structure bytes are assembled into the caller's reusable scratch and
 // hashed in one shot: a digest allocation plus a 4-byte h.Write per int32
 // is measurable when a warm 100k resolve keys ~20k components. The raw
 // 32-byte digest serves as the map key directly — the key never leaves the
 // cache, so it needs no printable encoding.
-func componentKey(sig []byte, g *blocking.Graph, part *partition, ci int, terms []int32, scratch []byte) (string, []byte) {
-	comp := &part.comps[ci]
+func componentKey(sig []byte, g *blocking.Graph, part *partition, ci int, ct *compTerms, scratch []byte) (string, []byte) {
 	buf := append(scratch[:0], sig...)
 	put := func(v int32) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	put(int32(len(comp.records)))
-	put(int32(len(comp.pairs)))
-	for _, pid := range comp.pairs {
+	pairs := part.compPairs(ci)
+	put(int32(len(part.compRecords(ci))))
+	put(int32(len(pairs)))
+	for _, pid := range pairs {
 		pr := g.Pairs[pid]
 		put(part.recLocal[pr.I])
 		put(part.recLocal[pr.J])
 	}
-	put(int32(len(terms)))
+	put(int32(len(ct.terms)))
 	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
-	for _, t := range terms {
+	for lt := range ct.terms {
 		put(-1) // term separator
-		for _, pid := range g.TermPairs[t] {
-			if part.pairComp[pid] == int32(ci) {
-				put(part.pairLocal[pid])
-			}
+		for _, lp := range ct.refs[ct.ptr[lt]:ct.ptr[lt+1]] {
+			put(lp)
 		}
 	}
 	sum := sha256.Sum256(buf)
@@ -172,28 +277,24 @@ func componentKey(sig []byte, g *blocking.Graph, part *partition, ci int, terms 
 // matches global key order), terms restricted to the component in ascending
 // global order. Only cache misses pay for this — hits are keyed without
 // materializing the graph.
-func localizeComponent(g *blocking.Graph, part *partition, ci int, terms []int32) *blocking.Graph {
-	comp := &part.comps[ci]
+func localizeComponent(g *blocking.Graph, part *partition, ci int, ct *compTerms) *blocking.Graph {
+	pairs := part.compPairs(ci)
 	lg := &blocking.Graph{
-		NumRecords: len(comp.records),
-		NumTerms:   len(terms),
-		Pairs:      make([]blocking.Pair, len(comp.pairs)),
-		Index:      make(map[uint64]int32, len(comp.pairs)),
-		TermPairs:  make([][]int32, len(terms)),
+		NumRecords: len(part.compRecords(ci)),
+		NumTerms:   len(ct.terms),
+		Pairs:      make([]blocking.Pair, len(pairs)),
+		Index:      make(map[uint64]int32, len(pairs)),
+		TermPairs:  make([][]int32, len(ct.terms)),
 	}
-	for k, pid := range comp.pairs {
+	for k, pid := range pairs {
 		pr := g.Pairs[pid]
 		li, lj := part.recLocal[pr.I], part.recLocal[pr.J]
 		lg.Pairs[k] = blocking.Pair{I: li, J: lj}
 		lg.Index[blocking.Key(li, lj)] = int32(k)
 	}
-	//lint:ignore guardloop bounded by one component's term-pair lists; DeltaFuse polls the checkpoint per component
-	for lt, t := range terms {
-		for _, pid := range g.TermPairs[t] {
-			if part.pairComp[pid] == int32(ci) {
-				lg.TermPairs[lt] = append(lg.TermPairs[lt], part.pairLocal[pid])
-			}
-		}
+	refs := slices.Clone(ct.refs)
+	for lt := range ct.terms {
+		lg.TermPairs[lt] = refs[ct.ptr[lt]:ct.ptr[lt+1]:ct.ptr[lt+1]]
 	}
 	lg.BuildPairIndex()
 	return lg
@@ -246,7 +347,7 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 	if err := r.Stage(StagePartition, func(st *StageTrace) error {
 		part = partitionCandidates(g, numRecords)
 		st.In, st.InUnit = g.NumPairs(), "pairs"
-		st.Out, st.OutUnit = len(part.comps), "components"
+		st.Out, st.OutUnit = part.numComps(), "components"
 		return nil
 	}); err != nil {
 		return nil, DeltaStats{}, err
@@ -259,24 +360,28 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 		Matches:   make([]bool, g.NumPairs()),
 		Nodes:     numRecords,
 	}
-	stats := DeltaStats{Components: len(part.comps)}
-	termSeen := make([]bool, g.NumTerms)
+	nc := part.numComps()
+	stats := DeltaStats{Components: nc}
+	ct := &compTerms{termLocal: make([]int32, g.NumTerms)}
+	for t := range ct.termLocal {
+		ct.termLocal[t] = -1
+	}
 	var keyScratch []byte
 	err := r.Stage(StageDeltaFuse, func(st *StageTrace) error {
-		st.In, st.InUnit = len(part.comps), "components"
+		st.In, st.InUnit = nc, "components"
 		st.OutUnit = "matches"
-		for ci := range part.comps {
+		for ci := 0; ci < nc; ci++ {
 			if err := r.check.Err(); err != nil {
 				return err
 			}
-			comp := &part.comps[ci]
-			terms := componentTerms(g, comp, termSeen)
+			pairs := part.compPairs(ci)
+			ct.localTerms(g, part, ci)
 			var key string
-			key, keyScratch = componentKey(sig, g, part, ci, terms, keyScratch)
+			key, keyScratch = componentKey(sig, g, part, ci, ct, keyScratch)
 			cr, ok := cache.Component(key)
 			if !ok {
-				lg := localizeComponent(g, part, ci, terms)
-				f := core.NewFusionRun(lg, len(comp.records), opts)
+				lg := localizeComponent(g, part, ci, ct)
+				f := core.NewFusionRun(lg, lg.NumRecords, opts)
 				for f.Next() {
 					if _, err := f.StepITER(); err != nil {
 						return err
@@ -295,12 +400,12 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 				}
 				cache.AddComponent(key, cr)
 				stats.ComponentsFused++
-				stats.PairsFused += len(comp.pairs)
+				stats.PairsFused += len(pairs)
 			} else {
 				stats.ComponentsReused++
-				stats.PairsReused += len(comp.pairs)
+				stats.PairsReused += len(pairs)
 			}
-			for k, pid := range comp.pairs {
+			for k, pid := range pairs {
 				p := cr.P[k]
 				res.P[pid] = p
 				if p >= opts.Eta {

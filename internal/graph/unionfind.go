@@ -90,7 +90,7 @@ func (u *UnionFind) Groups(minSize int) [][]int {
 		members[fill[r]] = i
 		fill[r]++
 	}
-	var out [][]int
+	out := make([][]int, 0, u.count)
 	for r := 0; r < n; r++ {
 		if int(size[r]) >= minSize && size[r] > 0 {
 			out = append(out, members[off[r]:off[r+1]:off[r+1]])

@@ -36,12 +36,13 @@ type Delta struct {
 	Rebuilt bool
 }
 
-// View is one materialized snapshot of the index: a Corpus and candidate
-// Graph bit-identical to what textproc.BuildCorpus + BuildGraph would
-// produce over the live records in ascending external-ID order, plus the
-// position-aligned bookkeeping a resolver needs.
+// View is one materialized snapshot of the index: the candidate Graph
+// bit-identical to what BuildGraph would produce over
+// textproc.BuildCorpus of the live records in ascending external-ID order,
+// plus the position-aligned bookkeeping a resolver needs. The corpus
+// itself is not assembled: no resolver reads it, and building it was most
+// of a warm refresh.
 type View struct {
-	Corpus  *textproc.Corpus
 	Graph   *Graph
 	Sources []int
 	// IDs maps record position to external ID (ascending).
@@ -57,9 +58,9 @@ type View struct {
 // re-derive only the candidate rows their blast radius can have changed —
 // the mutated record, plus every record holding a term whose eligibility
 // flipped (document-frequency thresholds move with df and with the corpus
-// size). Materialize then assembles a Corpus + Graph bit-identical to a
-// from-scratch batch build, in time proportional to the corpus surface, not
-// to the blocking scan.
+// size). Materialize then assembles a Graph bit-identical to a
+// from-scratch batch build, re-deriving only the pairs next to records
+// touched since the previous call.
 //
 // Not safe for concurrent use; callers serialize access.
 type Index struct {
@@ -87,7 +88,6 @@ type Index struct {
 	// Records. Handles (rids) are stable; deleted rids go on the free list.
 	extID   []string // rid -> external id ("" when free)
 	byID    map[string]int32
-	seqs    [][]int32 // rid -> token iid sequence (with duplicates, in order)
 	terms   [][]int32 // rid -> sorted unique iids
 	sources []int32
 	docLen  []int32 // rid -> count of corpus-kept terms
@@ -112,27 +112,34 @@ type Index struct {
 	row      []int32     // one candidate row's partner rids
 	removed  [][2]string // a deleted record's pairs, reported after the row patches
 
-	// Cached ascending-external-ID record order for Materialize.
+	// Cached ascending-external-ID record order for Materialize. Inserted
+	// handles queue in orderNew and deletes set orderDirty; the next
+	// Materialize patches the order (ensureOrder).
 	order      []int32
+	orderNew   []int32
 	orderDirty bool
 
-	// Cached dense vocabulary layout for Materialize: the kept terms in
-	// lexicographic order with their dense IDs, surface→dense map and
-	// eligibility flags. Valid while no mutation interned a new surface or
-	// flipped any term's kept/eligible status — document frequencies may
-	// change freely (Corpus.DF is rebuilt every Materialize), but the
-	// layout, and with it the 50k-entry string map, is reused. denseValid
-	// starts false and is cleared conservatively: a spurious rebuild costs
-	// time, a missed one would corrupt the batch-equivalence promise.
-	denseValid    bool
-	denseOf       []int32
-	denseIIDs     []int32
-	denseSurfaces []string
-	denseIndex    map[string]int
-	denseElig     []bool
+	// Dense vocabulary numbering for Materialize: denseOf maps an iid to
+	// its rank among the corpus-kept terms (-1 when not kept), numTerms
+	// counts them. Valid while no mutation interned a new surface or
+	// flipped a term's kept status; document frequencies may change
+	// freely. Cleared conservatively: a spurious rebuild costs one O(V)
+	// pass, a missed one would corrupt the batch-equivalence promise.
+	denseValid bool
+	denseOf    []int32
+	numTerms   int
 
-	// External IDs whose candidate rows changed since the last Materialize.
-	touchedIDs map[string]struct{}
+	// Carried pair derivation (see derivePairs): every candidate pair with
+	// its eligible shared terms, current for every pair whose endpoints
+	// were not touched since the previous Materialize.
+	pairStates []pairState
+	mat        materializeScratch
+
+	// Records whose candidate rows changed since the last Materialize:
+	// touchedList holds each such handle once, touchedMark flags it. A
+	// freed handle stays listed; Materialize skips it unless reused.
+	touchedMark []bool
+	touchedList []int32
 }
 
 // New returns an empty index.
@@ -142,12 +149,11 @@ func New(cfg Config) *Index {
 		stop[strings.ToLower(w)] = struct{}{}
 	}
 	return &Index{
-		cfg:        cfg,
-		stop:       stop,
-		vocab:      make(map[string]int32),
-		byID:       make(map[string]int32),
-		pairs:      make(map[uint64]int32),
-		touchedIDs: make(map[string]struct{}),
+		cfg:   cfg,
+		stop:  stop,
+		vocab: make(map[string]int32),
+		byID:  make(map[string]int32),
+		pairs: make(map[uint64]int32),
 	}
 }
 
@@ -205,11 +211,10 @@ func (ix *Index) minSharedFloor() int32 {
 // returns what changed in the candidate pair set.
 func (ix *Index) Upsert(id, text string, source int) Delta {
 	ix.toks = textproc.AppendTokens(ix.toks[:0], text, ix.cfg.Corpus.Tokenize)
-	seq := make([]int32, len(ix.toks))
+	terms := make([]int32, len(ix.toks))
 	for i, tk := range ix.toks {
-		seq[i] = ix.intern(tk)
+		terms[i] = ix.intern(tk)
 	}
-	terms := slices.Clone(seq)
 	slices.Sort(terms)
 	terms = slices.Compact(terms)
 
@@ -221,9 +226,9 @@ func (ix *Index) Upsert(id, text string, source int) Delta {
 	} else {
 		rid = ix.allocRid(id)
 		ix.live++
-		ix.orderDirty = true
+		ix.orderNew = append(ix.orderNew, rid)
 	}
-	return ix.applyMutation(rid, id, oldTerms, terms, seq, int32(source), ix.maxKeptDFAt(nBefore), true)
+	return ix.applyMutation(rid, id, oldTerms, terms, int32(source), ix.maxKeptDFAt(nBefore), true)
 }
 
 // Delete removes the record with the given external ID, reporting whether
@@ -237,7 +242,7 @@ func (ix *Index) Delete(id string) (Delta, bool) {
 	oldTerms := ix.terms[rid]
 	ix.live--
 	ix.orderDirty = true
-	d := ix.applyMutation(rid, id, oldTerms, nil, nil, 0, maxBefore, false)
+	d := ix.applyMutation(rid, id, oldTerms, nil, 0, maxBefore, false)
 	ix.releaseRid(rid, id)
 	return d, true
 }
@@ -273,7 +278,7 @@ func (ix *Index) flipOf(t, maxDF int32) termFlip {
 // thresholds moved with the corpus size), patch docLens, and re-derive the
 // candidate rows of the affected records. keep reports whether the record
 // remains live (upsert) or is being removed (delete).
-func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq []int32, source, maxBefore int32, keep bool) Delta {
+func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms []int32, source, maxBefore int32, keep bool) Delta {
 	maxAfter := ix.maxKeptDF()
 
 	// Terms whose df changes: the symmetric difference of the old and new
@@ -318,7 +323,6 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 
 	// Swap the record body.
 	ix.terms[rid] = newTerms
-	ix.seqs[rid] = newSeq
 	ix.sources[rid] = source
 
 	// Diff each candidate term's eligibility, patch docLens for kept
@@ -337,9 +341,9 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			for _, q := range ix.postings[fl.iid] {
 				ix.docLen[q] += d
 			}
+			ix.denseValid = false
 		}
 		if isKept != fl.wasKept || isElig != fl.was {
-			ix.denseValid = false
 			for _, q := range ix.postings[fl.iid] {
 				if !ix.marked[q] {
 					ix.marked[q] = true
@@ -374,19 +378,19 @@ func (ix *Index) applyMutation(rid int32, id string, oldTerms, newTerms, newSeq 
 			if _, ok := ix.pairs[key]; ok {
 				delete(ix.pairs, key)
 				removed = append(removed, [2]string{id, ix.extID[p]})
-				ix.touchedIDs[ix.extID[p]] = struct{}{}
+				ix.touch(p)
 			}
 		}
 		ix.removed = removed
 		ix.adj[rid] = nil
-		ix.touchedIDs[id] = struct{}{}
+		ix.touch(rid)
 		d := ix.recomputeRows(affected, maxAfter)
 		d.RemovedPairs = append(d.RemovedPairs, removed...)
 		d.Touched = append(d.Touched, id)
 		return d
 	}
 
-	ix.touchedIDs[id] = struct{}{}
+	ix.touch(rid)
 	return ix.recomputeRows(affected, maxAfter)
 }
 
@@ -403,7 +407,7 @@ func (ix *Index) recomputeRows(rids []int32, maxDF int32) Delta {
 	}
 	d := Delta{Touched: make([]string, 0, len(rids))}
 	for _, r := range rids {
-		ix.touchedIDs[ix.extID[r]] = struct{}{}
+		ix.touch(r)
 		d.Touched = append(d.Touched, ix.extID[r])
 		ix.recomputeRow(r, maxDF, &d)
 	}
@@ -472,7 +476,7 @@ func (ix *Index) recomputeRow(r int32, maxDF int32, d *Delta) {
 				ix.adj[q] = append(ix.adj[q], r)
 			}
 			d.AddedPairs = append(d.AddedPairs, ix.pairIDs(r, q))
-			ix.touchedIDs[ix.extID[q]] = struct{}{}
+			ix.touch(q)
 		}
 		ix.pairs[key] = s
 		marked[q] = true
@@ -491,13 +495,21 @@ func (ix *Index) recomputeRow(r int32, maxDF int32, d *Delta) {
 		}
 		delete(ix.pairs, key)
 		d.RemovedPairs = append(d.RemovedPairs, ix.pairIDs(r, p))
-		ix.touchedIDs[ix.extID[p]] = struct{}{}
+		ix.touch(p)
 	}
 	ix.adj[r] = keepAdj
 	for _, q := range touched {
 		marked[q] = false
 	}
 	ix.row = touched
+}
+
+// touch records that r's candidate row changed since the last Materialize.
+func (ix *Index) touch(r int32) {
+	if !ix.touchedMark[r] {
+		ix.touchedMark[r] = true
+		ix.touchedList = append(ix.touchedList, r)
+	}
 }
 
 // pairIDs returns a pair's external IDs in (smaller rid, larger rid) order.
@@ -528,7 +540,7 @@ func (ix *Index) rebuildPairs(maxDF int32) {
 		if ix.extID[r] == "" {
 			continue
 		}
-		ix.touchedIDs[ix.extID[r]] = struct{}{}
+		ix.touch(ri)
 		touched := ix.row[:0]
 		for _, t := range ix.terms[r] {
 			if !ix.eligAt(t, ix.df[t], maxDF) {
@@ -588,13 +600,13 @@ func (ix *Index) allocRid(id string) int32 {
 	} else {
 		rid = int32(len(ix.extID))
 		ix.extID = append(ix.extID, "")
-		ix.seqs = append(ix.seqs, nil)
 		ix.terms = append(ix.terms, nil)
 		ix.sources = append(ix.sources, 0)
 		ix.docLen = append(ix.docLen, 0)
 		ix.adj = append(ix.adj, nil)
 		ix.cnt = append(ix.cnt, 0)
 		ix.marked = append(ix.marked, false)
+		ix.touchedMark = append(ix.touchedMark, false)
 	}
 	ix.extID[rid] = id
 	ix.byID[id] = rid
@@ -604,7 +616,6 @@ func (ix *Index) allocRid(id string) int32 {
 // releaseRid frees a record handle after deletion.
 func (ix *Index) releaseRid(rid int32, id string) {
 	ix.extID[rid] = ""
-	ix.seqs[rid] = nil
 	ix.terms[rid] = nil
 	ix.docLen[rid] = 0
 	ix.adj[rid] = nil

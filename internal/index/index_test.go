@@ -17,10 +17,10 @@ type liveRecord struct {
 	source int
 }
 
-// batchView builds the oracle Corpus+Graph from the shadow model the way the
-// batch pipeline would: records in ascending external-ID order through
+// batchView builds the oracle Graph from the shadow model the way the batch
+// pipeline would: records in ascending external-ID order through
 // textproc.BuildCorpus and the serial reference enumeration.
-func batchView(t *testing.T, model map[string]liveRecord, cfg Config) (*textproc.Corpus, *Graph, []string, []int) {
+func batchView(t *testing.T, model map[string]liveRecord, cfg Config) (*Graph, []string, []int) {
 	t.Helper()
 	ids := make([]string, 0, len(model))
 	for id := range model {
@@ -35,44 +35,13 @@ func batchView(t *testing.T, model map[string]liveRecord, cfg Config) (*textproc
 	}
 	c := textproc.BuildCorpus(texts, cfg.Corpus)
 	g := referenceBuild(c, sources, cfg.Block)
-	return c, g, ids, sources
-}
-
-// requireCorporaEqual compares two corpora field by field with nil/empty
-// slice rows considered equal.
-func requireCorporaEqual(t *testing.T, want, got *textproc.Corpus) {
-	t.Helper()
-	if !reflect.DeepEqual(want.Terms, got.Terms) {
-		t.Fatalf("terms mismatch:\nwant %v\ngot  %v", want.Terms, got.Terms)
-	}
-	if !reflect.DeepEqual(want.DF, got.DF) {
-		t.Fatalf("df mismatch:\nwant %v\ngot  %v", want.DF, got.DF)
-	}
-	if len(want.Docs) != len(got.Docs) {
-		t.Fatalf("docs length mismatch: want %d, got %d", len(want.Docs), len(got.Docs))
-	}
-	for i := range want.Docs {
-		if !reflect.DeepEqual(normInt32(want.Docs[i]), normInt32(got.Docs[i])) {
-			t.Fatalf("docs[%d] mismatch: want %v, got %v", i, want.Docs[i], got.Docs[i])
-		}
-		if !reflect.DeepEqual(normInt32(want.Seqs[i]), normInt32(got.Seqs[i])) {
-			t.Fatalf("seqs[%d] mismatch: want %v, got %v", i, want.Seqs[i], got.Seqs[i])
-		}
-	}
-	if len(want.Index) != len(got.Index) {
-		t.Fatalf("index size mismatch: want %d, got %d", len(want.Index), len(got.Index))
-	}
-	for s, d := range want.Index {
-		if got.Index[s] != d {
-			t.Fatalf("index[%q] mismatch: want %d, got %d", s, d, got.Index[s])
-		}
-	}
+	return g, ids, sources
 }
 
 // TestIncrementalMatchesBatch drives random upsert/delete/replace sequences
 // against a mutable Index and, after every small batch of mutations, checks
 // that Materialize reproduces the from-scratch batch build bit for bit —
-// corpus and candidate graph. Configurations exercise the MaxDFRatio
+// candidate graph, ID order and sources. Configurations exercise the MaxDFRatio
 // threshold shifting with the corpus size, the MaxTermRecords cap, the
 // Jaccard floor and cross-source filtering; the bulk-band subtest runs a
 // long load through a tight band and checks the Deltas as well.
@@ -157,14 +126,13 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					t.Fatalf("step %d: live count %d, model has %d", step, ix.Len(), len(model))
 				}
 				v := ix.Materialize()
-				wantC, wantG, wantIDs, wantSrc := batchView(t, model, sc.cfg)
+				wantG, wantIDs, wantSrc := batchView(t, model, sc.cfg)
 				if !reflect.DeepEqual(wantIDs, v.IDs) {
 					t.Fatalf("step %d: id order mismatch:\nwant %v\ngot  %v", step, wantIDs, v.IDs)
 				}
 				if !reflect.DeepEqual(wantSrc, v.Sources) {
 					t.Fatalf("step %d: sources mismatch", step)
 				}
-				requireCorporaEqual(t, wantC, v.Corpus)
 				requireGraphsEqual(t, wantG, v.Graph)
 			}
 			if ops < 60 {
@@ -173,6 +141,101 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		})
 	}
 	t.Run("bulk-band", testBulkBand)
+	t.Run("rebuild", testRebuildRederive)
+}
+
+// testRebuildRederive checks Materialize across pair-table rebuilds: a
+// "common" term carried by most records crosses its MaxTermRecords cap in
+// both directions, so the eligibility flip touches more records than the
+// incremental patch takes and the index rebuilds the table. The next
+// Materialize must derive every pair afresh, and the ones after it go
+// back to patching; all must equal the batch build (BuildGraph, pinned to
+// the serial reference by TestBuildGraphMatchesReference).
+func testRebuildRederive(t *testing.T) {
+	cfg := Config{
+		Corpus: textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions()},
+		Block:  BatchOptions{MinSharedTerms: 2, MaxTermRecords: 1100},
+	}
+	rng := rand.New(rand.NewSource(41))
+	text := func() string {
+		s := ""
+		if rng.Intn(20) != 0 {
+			s = "common "
+		}
+		for k := 3 + rng.Intn(4); k > 0; k-- {
+			s += fmt.Sprintf("w%d ", rng.Intn(300))
+		}
+		return s
+	}
+	ix := New(cfg)
+	model := make(map[string]liveRecord)
+	var live []string
+	rebuilds, checks, next := 0, 0, 0
+	check := func(step int) {
+		v := ix.Materialize()
+		ids := make([]string, 0, len(model))
+		for id := range model {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		texts := make([]string, len(ids))
+		sources := make([]int, len(ids))
+		for i, id := range ids {
+			texts[i], sources[i] = model[id].text, model[id].source
+		}
+		want, err := BuildGraph(textproc.BuildCorpus(texts, cfg.Corpus), sources, cfg.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ids, v.IDs) || !reflect.DeepEqual(sources, v.Sources) {
+			t.Fatalf("step %d: id order or sources mismatch", step)
+		}
+		requireGraphsEqual(t, want, v.Graph)
+		checks++
+	}
+	mutate := func(insert bool) {
+		var d Delta
+		if insert || len(live) < 8 {
+			id := fmt.Sprintf("r%05d", next)
+			next++
+			live = append(live, id)
+			rec := liveRecord{text: text(), source: rng.Intn(2)}
+			model[id] = rec
+			d = ix.Upsert(id, rec.text, rec.source)
+		} else if rng.Intn(3) == 0 {
+			k := rng.Intn(len(live))
+			rec := liveRecord{text: text(), source: rng.Intn(2)}
+			model[live[k]] = rec
+			d = ix.Upsert(live[k], rec.text, rec.source)
+		} else {
+			k := rng.Intn(len(live))
+			id := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(model, id)
+			d, _ = ix.Delete(id)
+		}
+		if d.Rebuilt {
+			rebuilds++
+		}
+	}
+	step := 0
+	for ; step < 1300; step++ {
+		mutate(true)
+		if step%100 == 99 {
+			check(step)
+		}
+	}
+	for ; step < 1800; step++ {
+		mutate(false)
+		if step%25 == 24 {
+			check(step)
+		}
+	}
+	t.Logf("%d rebuilds, %d checks", rebuilds, checks)
+	if rebuilds < 2 {
+		t.Fatalf("scenario too weak: %d rebuilds", rebuilds)
+	}
 }
 
 // pairSet returns a graph's candidate pairs as external-ID pairs (smaller
@@ -280,11 +343,13 @@ func testBulkBand(t *testing.T) {
 	}
 	check := func(step int) {
 		v := ix.Materialize()
-		wantC, wantG, wantIDs, _ := batchView(t, model, cfg)
+		wantG, wantIDs, wantSrc := batchView(t, model, cfg)
 		if !reflect.DeepEqual(wantIDs, v.IDs) {
 			t.Fatalf("step %d: id order mismatch", step)
 		}
-		requireCorporaEqual(t, wantC, v.Corpus)
+		if !reflect.DeepEqual(wantSrc, v.Sources) {
+			t.Fatalf("step %d: sources mismatch", step)
+		}
 		requireGraphsEqual(t, wantG, v.Graph)
 		batch := pairSet(wantG, wantIDs)
 		if valid {

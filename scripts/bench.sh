@@ -8,9 +8,11 @@
 # component-sharded fusion matrix), BenchmarkBlocking100k (the
 # 100k-record candidate-generation matrix over the incremental index's
 # batch builder), BenchmarkBuildCorpus100k (the 100k-record tokenize
-# stage: the chunked corpus builder) and BenchmarkCollectionBulkLoad100k
+# stage: the chunked corpus builder), BenchmarkCollectionBulkLoad100k
 # (the 100k-record streaming load through Collection.Upsert, with the mean
-# upsert time per quarter of the load), pipes the output through
+# upsert time per quarter of the load) and BenchmarkCollectionRefresh100k
+# (the warm delta path: 50 mutations + Collection.Resolve on a loaded 100k
+# collection, with the materialize and DeltaFuse walls), pipes the output through
 # cmd/erbenchjson, and writes BENCH_core.json at the repo root: ns/op,
 # B/op, allocs/op per kernel and worker count, per-stage timings under
 # stage_ms, other custom metrics under metrics, each fan-out's speedup
@@ -41,8 +43,8 @@ echo "==> go test -bench (benchtime $benchtime)" >&2
 go test ./internal/core/ -run xxx -bench 'ITER|CliqueRank|Fusion' \
     -benchmem -benchtime "$benchtime" -timeout 30m | tee results/bench_latest.txt
 
-echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k + CollectionBulkLoad100k (stage timings, 100k matrices)" >&2
-go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k|CollectionBulkLoad100k' $short \
+echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k + CollectionBulkLoad100k + CollectionRefresh100k (stage timings, 100k matrices)" >&2
+go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k|CollectionBulkLoad100k|CollectionRefresh100k' $short \
     -benchtime "$benchtime" -timeout 30m | tee -a results/bench_latest.txt
 
 echo "==> erbenchjson -> BENCH_core.json" >&2

@@ -66,6 +66,15 @@ go test -race -count=1 -run 'TestCrashRecoveryKill9' ./internal/faultcheck/
 echo "==> exactly-once chaos acceptance (netfault proxy + SIGKILL)"
 go test -race -count=1 -run 'TestNetFaultExactlyOnce' ./internal/faultcheck/
 
+# Likewise named: the warm-resolve oracle. Everything a warm
+# Collection.Resolve carries across calls (the index's pair states and
+# record order, the component cache, the label counts) is checked against
+# a fresh collection over a long seeded mutation history, at workers 1, 2
+# and 4 under four blocking configurations, plus the incremental
+# evaluation against the full ground-truth map it replaced.
+echo "==> warm-resolve oracle (long history vs fresh collection, evaluation)"
+go test -race -count=1 -run 'TestCollectionLongHistoryMatchesFresh|TestCollectionEvaluationMatchesFullTruth' .
+
 echo "==> erserve smoke (boot, resolve, SIGKILL recovery, drain)"
 ./scripts/smoke_erserve.sh
 
