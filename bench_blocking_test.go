@@ -89,7 +89,7 @@ func BenchmarkBuildCorpus100k(b *testing.B) {
 
 // BenchmarkCollectionBulkLoad100k measures the streaming bulk load: the
 // same 100000-record synthetic corpus upserted one record at a time into an
-// empty Collection, the path every erserve mirror rebuild and the
+// empty Collection, the path every erserve snapshot restore and the
 // stream-100k benchmark setup take. Besides ns/op (one whole load) it
 // reports the mean Upsert time of each quarter of the load as
 // upsert_us_q1..q4: a load that costs each upsert its blast radius keeps

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/blocking"
 	"repro/internal/engine"
@@ -50,17 +51,24 @@ type DeltaStats struct {
 // it is not bit-identical to the batch Resolve, whose ITER couples
 // components through a global convergence test and RNG sequence.
 //
-// A Collection is not safe for concurrent use; callers serialize access.
+// A Collection is safe for concurrent use. Mutations serialize on one
+// internal mutex; a resolve holds it only while it materializes the
+// candidate graph and the ground truth, so the fusion itself runs
+// alongside later mutations.
 type Collection struct {
 	opts  Options
-	ix    *index.Index
 	cache *engine.Cache
 
-	// Ground truth, kept current by Upsert and Delete so a resolve never
-	// recounts it: each labeled record's label, the records per entity and
-	// per entity×source, and from those the number of same-entity record
-	// pairs (samePairs) and of those within one source (sameSourcePairs).
-	labels                     map[string]recordLabel
+	mu sync.Mutex
+	ix *index.Index
+	// records holds every live record by ID. The ground truth derives
+	// from it and is kept current by Upsert and Delete so a resolve never
+	// recounts it: the number of labeled records, the records per entity
+	// and per entity×source, and from those the number of same-entity
+	// record pairs (samePairs) and of those within one source
+	// (sameSourcePairs).
+	records                    map[string]Record
+	labeled                    int
 	perEntity                  map[string]int
 	perEntitySource            map[recordLabel]int
 	samePairs, sameSourcePairs int
@@ -109,7 +117,7 @@ func NewCollection(opts Options) (*Collection, error) {
 			},
 		}),
 		cache:           cache,
-		labels:          make(map[string]recordLabel),
+		records:         make(map[string]Record),
 		perEntity:       make(map[string]int),
 		perEntitySource: make(map[recordLabel]int),
 		changed:         make(map[string]struct{}),
@@ -117,11 +125,41 @@ func NewCollection(opts Options) (*Collection, error) {
 }
 
 // Len returns the number of live records.
-func (c *Collection) Len() int { return c.ix.Len() }
+func (c *Collection) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ix.Len()
+}
+
+// Get returns the record stored under id.
+func (c *Collection) Get(id string) (Record, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, ok := c.records[id]
+	return rec, ok
+}
+
+// Records returns the live records and their IDs, in ascending ID order.
+func (c *Collection) Records() (ids []string, recs []Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids = make([]string, 0, len(c.records))
+	for id := range c.records {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	recs = make([]Record, len(ids))
+	for i, id := range ids {
+		recs[i] = c.records[id]
+	}
+	return ids, recs
+}
 
 // Upsert inserts or replaces the record stored under id and returns what
 // the mutation changed in the candidate pair set.
 func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.unlabel(id)
 	if rec.Entity != "" {
 		l := recordLabel{entity: rec.Entity, source: rec.Source}
@@ -129,29 +167,35 @@ func (c *Collection) Upsert(id string, rec Record) CollectionDelta {
 		c.perEntity[l.entity]++
 		c.sameSourcePairs += c.perEntitySource[l]
 		c.perEntitySource[l]++
-		c.labels[id] = l
+		c.labeled++
 	}
+	c.records[id] = rec
 	c.noteChanged(id)
 	return fromIndexDelta(c.ix.Upsert(id, rec.Text, rec.Source))
 }
 
 // Delete removes the record stored under id, reporting whether it existed.
 func (c *Collection) Delete(id string) (CollectionDelta, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	d, ok := c.ix.Delete(id)
 	if ok {
 		c.unlabel(id)
+		delete(c.records, id)
 		c.noteChanged(id)
 	}
 	return fromIndexDelta(d), ok
 }
 
-// unlabel drops id's ground-truth label, if it has one, from the counts.
+// unlabel drops the label of the record stored under id, if it has one,
+// from the counts.
 func (c *Collection) unlabel(id string) {
-	l, ok := c.labels[id]
-	if !ok {
+	rec := c.records[id]
+	if rec.Entity == "" {
 		return
 	}
-	delete(c.labels, id)
+	l := recordLabel{entity: rec.Entity, source: rec.Source}
+	c.labeled--
 	entity := c.perEntity[l.entity] - 1
 	if entity == 0 {
 		delete(c.perEntity, l.entity)
@@ -192,7 +236,7 @@ func (c *Collection) entitiesAt(ids []string) []string {
 	ents := make([]string, len(ids))
 	if c.lastIDs == nil {
 		for pos, id := range ids {
-			ents[pos] = c.labels[id].entity
+			ents[pos] = c.records[id].Entity
 		}
 	} else {
 		var drop, add []int
@@ -209,7 +253,7 @@ func (c *Collection) entitiesAt(ids []string) []string {
 		old := 0
 		for pos := range ents {
 			if len(add) > 0 && add[0] == pos {
-				ents[pos] = c.labels[ids[pos]].entity
+				ents[pos] = c.records[ids[pos]].Entity
 				add = add[1:]
 				continue
 			}
@@ -251,25 +295,19 @@ func (c *Collection) Resolve() (*Result, error) {
 // Result.IDs, the ascending external-ID order of this resolve. Evaluation
 // is populated when every record carries an entity label. The Options
 // budgets and cancellation behave as in the package-level ResolveContext.
+//
+// Mutations wait only for the materialization; a mutation during the
+// fusion shows in the next resolve, never in this one.
 func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error) {
 	defer recoverToError(&err)
-	if c.ix.Len() == 0 {
-		return nil, ErrNoRecords
-	}
 	ctx, cancel := c.opts.withWallClock(ctx)
 	defer cancel()
 	run := engine.NewRun(ctx, engine.RunOptions{Workers: c.opts.Workers})
 
-	var v *index.View
-	if err := run.Stage(engine.StageMaterialize, func(st *engine.StageTrace) error {
-		v = c.ix.Materialize()
-		st.In, st.InUnit = len(v.IDs), "records"
-		st.Out, st.OutUnit = v.Graph.NumPairs(), "pairs"
-		return nil
-	}); err != nil {
-		return nil, wrapRunErr(ctx, err)
+	v, truth, totalTrue, err := c.materialize(ctx, run)
+	if err != nil {
+		return nil, err
 	}
-
 	out, stats, err := engine.DeltaFuse(run, v.Graph, len(v.IDs), c.opts.coreOptions(), c.cache)
 	if err != nil {
 		return nil, wrapRunErr(ctx, err)
@@ -301,7 +339,7 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 		pr := v.Graph.Pairs[k]
 		res.Matches = append(res.Matches, Match{I: int(pr.I), J: int(pr.J), Probability: out.P[k]})
 	}
-	if truth, totalTrue, ok := c.truthFor(v); ok {
+	if truth != nil {
 		prf, err := engine.Evaluate(run, v.Graph.Pairs, out.Matches, truth, totalTrue)
 		if err != nil {
 			return nil, wrapRunErr(ctx, err)
@@ -317,17 +355,39 @@ func (c *Collection) ResolveContext(ctx context.Context) (res *Result, err error
 	return res, nil
 }
 
+// materialize captures, under the mutex, everything a resolve reads of the
+// collection: the candidate graph and, when every record is labeled, the
+// ground truth over it (nil otherwise). All of it is freshly allocated, so
+// the fusion that follows runs unlocked.
+func (c *Collection) materialize(ctx context.Context, run *engine.Run) (v *index.View, truth map[uint64]bool, totalTrue int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ix.Len() == 0 {
+		return nil, nil, 0, ErrNoRecords
+	}
+	if err := run.Stage(engine.StageMaterialize, func(st *engine.StageTrace) error {
+		v = c.ix.Materialize()
+		st.In, st.InUnit = len(v.IDs), "records"
+		st.Out, st.OutUnit = v.Graph.NumPairs(), "pairs"
+		return nil
+	}); err != nil {
+		return nil, nil, 0, wrapRunErr(ctx, err)
+	}
+	truth, totalTrue = c.truthFor(v)
+	return v, truth, totalTrue, nil
+}
+
 // truthFor returns the ground truth Evaluate needs over the materialized
 // record order, following the batch convention: every record must be
-// labeled, and under CrossSourceOnly only cross-source pairs count. The
-// count of true pairs comes from the label counts; the map holds only the
-// candidate pairs whose endpoints share a label, the only pairs Evaluate
-// looks up.
-func (c *Collection) truthFor(v *index.View) (truth map[uint64]bool, totalTrue int, ok bool) {
-	if len(c.labels) != len(v.IDs) {
+// labeled (nil truth otherwise), and under CrossSourceOnly only
+// cross-source pairs count. The count of true pairs comes from the label
+// counts; the map holds only the candidate pairs whose endpoints share a
+// label, the only pairs Evaluate looks up.
+func (c *Collection) truthFor(v *index.View) (truth map[uint64]bool, totalTrue int) {
+	if c.labeled != len(v.IDs) {
 		c.lastIDs = nil
 		clear(c.changed)
-		return nil, 0, false
+		return nil, 0
 	}
 	cross := c.opts.CrossSourceOnly
 	totalTrue = c.samePairs
@@ -341,5 +401,5 @@ func (c *Collection) truthFor(v *index.View) (truth map[uint64]bool, totalTrue i
 			truth[blocking.Key(p.I, p.J)] = true
 		}
 	}
-	return truth, totalTrue, true
+	return truth, totalTrue
 }

@@ -1,9 +1,11 @@
 package er
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/blocking"
@@ -12,18 +14,21 @@ import (
 
 // historyModel is the shadow state of a collection under a long mutation
 // history: the live records by ID, plus the deleted IDs a re-insert
-// restores at their last text.
+// restores at their last text. Every ID starts with prefix, so models with
+// distinct prefixes can drive one collection side by side.
 type historyModel struct {
 	rng     *rand.Rand
+	prefix  string
 	live    map[string]Record
 	deleted map[string]Record
 	ids     []string // every ID ever used, in first-use order
 	rev     int
 }
 
-func newHistoryModel(seed int64) *historyModel {
+func newHistoryModel(seed int64, prefix string) *historyModel {
 	return &historyModel{
 		rng:     rand.New(rand.NewSource(seed)),
+		prefix:  prefix,
 		live:    make(map[string]Record),
 		deleted: make(map[string]Record),
 	}
@@ -57,7 +62,7 @@ func (m *historyModel) pick(set map[string]Record) string {
 func (m *historyModel) step(c *Collection) {
 	switch r := m.rng.Intn(20); {
 	case r < 4 || len(m.live) < 20:
-		id := fmt.Sprintf("r%03d", m.rng.Intn(300))
+		id := fmt.Sprintf("%s%03d", m.prefix, m.rng.Intn(300))
 		if _, ok := m.live[id]; !ok {
 			m.ids = append(m.ids, id)
 		}
@@ -94,16 +99,19 @@ func (m *historyModel) step(c *Collection) {
 	}
 }
 
-// fresh returns a new collection holding the model's live records.
-func (m *historyModel) fresh(t *testing.T, opts Options) *Collection {
+// freshCollection returns a new collection holding the models' live
+// records.
+func freshCollection(t *testing.T, opts Options, models ...*historyModel) *Collection {
 	t.Helper()
 	c, err := NewCollection(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range m.ids {
-		if rec, ok := m.live[id]; ok {
-			c.Upsert(id, rec)
+	for _, m := range models {
+		for _, id := range m.ids {
+			if rec, ok := m.live[id]; ok {
+				c.Upsert(id, rec)
+			}
 		}
 	}
 	return c
@@ -118,7 +126,8 @@ func (m *historyModel) fresh(t *testing.T, opts Options) *Collection {
 // the component cache, the label counts and per-position entity labels)
 // must never show in a result. The configurations move the frequency band
 // (MaxDFRatio), flip terms across a MaxTermRecords cap, and restrict pairs
-// to cross-source ones, each at 1, 2 and 4 workers.
+// to cross-source ones, each at 1, 2 and 4 workers, and once more in the
+// concurrent mode of concurrentHistory.
 func TestCollectionLongHistoryMatchesFresh(t *testing.T) {
 	configs := []struct {
 		name string
@@ -136,7 +145,7 @@ func TestCollectionLongHistoryMatchesFresh(t *testing.T) {
 				opts := DefaultOptions()
 				opts.Workers = workers
 				cfg.tune(&opts)
-				m := newHistoryModel(int64(100 + ci))
+				m := newHistoryModel(int64(100+ci), "r")
 				c, err := NewCollection(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -155,7 +164,7 @@ func TestCollectionLongHistoryMatchesFresh(t *testing.T) {
 					if (step/resolveEvery)%compareEvery != 0 {
 						continue
 					}
-					want, err := m.fresh(t, opts).Resolve()
+					want, err := freshCollection(t, opts, m).Resolve()
 					if err != nil {
 						t.Fatalf("step %d: fresh resolve: %v", step, err)
 					}
@@ -170,6 +179,108 @@ func TestCollectionLongHistoryMatchesFresh(t *testing.T) {
 					t.Fatalf("history too weak: %d comparisons, %d evaluated, %d re-fused", compared, evaluated, fused)
 				}
 			})
+		}
+		t.Run(cfg.name+"/concurrent", func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Workers = 2
+			cfg.tune(&opts)
+			concurrentHistory(t, opts, int64(100+ci))
+		})
+	}
+}
+
+// concurrentHistory is the concurrent mode of the long-history oracle: two
+// writers, each replaying its own seeded history over a disjoint ID range,
+// mutate one collection while a third goroutine resolves it in a loop.
+// Each round ends at a quiesce point — writers done, resolver stopped —
+// where a resolve must be bit-identical to a fresh collection over both
+// histories' live records. Run it under -race.
+func concurrentHistory(t *testing.T, opts Options, seed int64) {
+	const rounds, stepsPerRound = 4, 250
+	c, err := NewCollection(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*historyModel{newHistoryModel(seed, "a"), newHistoryModel(seed+1000, "b")}
+	var resolves, fused int
+	for round := 1; round <= rounds; round++ {
+		var writers sync.WaitGroup
+		for _, m := range models {
+			writers.Add(1)
+			go func(m *historyModel) {
+				defer writers.Done()
+				for i := 0; i < stepsPerRound; i++ {
+					m.step(c)
+				}
+			}(m)
+		}
+		stop := make(chan struct{})
+		type outcome struct {
+			n   int
+			err error
+		}
+		done := make(chan outcome)
+		go func() {
+			n, err := resolveUntil(c, stop)
+			done <- outcome{n, err}
+		}()
+		writers.Wait()
+		close(stop)
+		out := <-done
+		if out.err != nil {
+			t.Fatalf("round %d: concurrent resolve: %v", round, out.err)
+		}
+		resolves += out.n
+
+		got, err := c.Resolve()
+		if err != nil {
+			t.Fatalf("round %d: resolve: %v", round, err)
+		}
+		want, err := freshCollection(t, opts, models...).Resolve()
+		if err != nil {
+			t.Fatalf("round %d: fresh resolve: %v", round, err)
+		}
+		requireResultsEqual(t, want, got)
+		if got.Evaluation == nil {
+			t.Fatalf("round %d: fully labeled collection reported no evaluation", round)
+		}
+		fused += got.Delta.ComponentsFused
+	}
+	t.Logf("%d concurrent resolves, %d components re-fused at quiesce", resolves, fused)
+	if fused == 0 {
+		t.Fatal("history too weak: no component re-fused at a quiesce point")
+	}
+}
+
+// resolveUntil resolves c in a loop until stop closes and reports how many
+// resolves ran, or the first error. A mid-history resolve sees some
+// interleaving of the writers, so only its shape is checked: every match
+// and cluster must index the resolve's own IDs.
+func resolveUntil(c *Collection, stop <-chan struct{}) (int, error) {
+	for n := 1; ; n++ {
+		res, err := c.Resolve()
+		switch {
+		case errors.Is(err, ErrNoRecords):
+		case err != nil:
+			return n, err
+		default:
+			for _, mt := range res.Matches {
+				if mt.I >= len(res.IDs) || mt.J >= len(res.IDs) {
+					return n, fmt.Errorf("match (%d,%d) outside the %d resolved IDs", mt.I, mt.J, len(res.IDs))
+				}
+			}
+			for _, cl := range res.Clusters {
+				for _, r := range cl {
+					if r >= len(res.IDs) {
+						return n, fmt.Errorf("cluster member %d outside the %d resolved IDs", r, len(res.IDs))
+					}
+				}
+			}
+		}
+		select {
+		case <-stop:
+			return n, nil
+		default:
 		}
 	}
 }
@@ -213,7 +324,7 @@ func TestCollectionEvaluationMatchesFullTruth(t *testing.T) {
 			opts := DefaultOptions()
 			opts.CrossSourceOnly = cross
 			opts.MinJaccard = 0.1
-			m := newHistoryModel(7)
+			m := newHistoryModel(7, "r")
 			c, err := NewCollection(opts)
 			if err != nil {
 				t.Fatal(err)

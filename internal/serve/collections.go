@@ -19,10 +19,12 @@ import (
 // journaled through the WAL before acknowledgment. Every mutation is
 // validated against in-memory state, appended to the log, applied, and
 // acknowledged only once its covering fsync returned — so a SIGKILL at
-// any point loses nothing a client was told succeeded. Resolution over a
-// collection snapshots its records into an er.Dataset and rides the
-// existing admission/worker/breaker path; the full corpus is re-resolved
-// on every query (incremental re-fusion is out of scope).
+// any point loses nothing a client was told succeeded. Each collection is
+// one er.Collection: the journal's apply step (live and replay alike)
+// upserts into it, snapshots serialize from it, and a resolve runs on it
+// incrementally through the existing admission/worker/breaker path,
+// re-fusing only the candidate-graph components mutated since the last
+// resolve (see resolver.go).
 
 // Collection-mutation errors, mapped onto 404/409 by the handlers.
 var (
@@ -69,8 +71,8 @@ type mutation struct {
 	Evict      []string `json:"evict,omitempty"`
 }
 
-// colRecord is one stored record: the er.Record fields, keyed by the
-// client-assigned ID.
+// colRecord is the wire and snapshot form of one record: the er.Record
+// fields, keyed by the client-assigned ID.
 type colRecord struct {
 	Entity string `json:"entity,omitempty"`
 	Source int    `json:"source,omitempty"`
@@ -92,10 +94,13 @@ type dedupEntry struct {
 // colStore is the in-memory state the WAL makes durable: collections of
 // records, plus the idempotency dedup table. It is mutated only through
 // checkLocked+applyLocked (live path) and apply (replay path), so journal
-// order and state order always agree.
+// order and state order always agree. Lock order is mu, then a
+// collection's own mutex; a resolve holds only the latter.
 type colStore struct {
 	mu   sync.RWMutex
-	cols map[string]map[string]colRecord
+	cols map[string]*er.Collection
+	// opts are the options every collection is created and resolved under.
+	opts er.Options
 
 	// dedup maps idempotency key → the mutation it already applied;
 	// dedupOrder is insertion (FIFO) order, the eviction order once the
@@ -106,27 +111,23 @@ type colStore struct {
 	dedupOrder []string
 	dedupCap   int
 
-	// version counts each collection's mutations in journal order (create,
-	// drop, upsert, delete all bump it; the counter survives drops so it is
-	// monotonic per name), and logs holds the capped per-collection delta
-	// logs the incremental resolvers catch up from. Both are derived state:
-	// never journaled, rebuilt by replay.
-	version map[string]uint64
-	logs    map[string]*colLog
-
 	replays   atomic.Int64 // keyed requests answered from the dedup table
 	conflicts atomic.Int64 // key reuse with a different request body
 	evictions atomic.Int64 // keys evicted from the table
 }
 
-func newColStore(dedupCap int) *colStore {
+// newColStore returns an empty store whose collections run under opts,
+// validated here so creating a collection cannot fail later.
+func newColStore(dedupCap int, opts er.Options) (*colStore, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	return &colStore{
-		cols:     make(map[string]map[string]colRecord),
+		cols:     make(map[string]*er.Collection),
+		opts:     opts,
 		dedup:    make(map[string]*dedupEntry),
 		dedupCap: dedupCap,
-		version:  make(map[string]uint64),
-		logs:     make(map[string]*colLog),
-	}
+	}, nil
 }
 
 // rememberLocked inserts one applied keyed mutation into the dedup table.
@@ -177,7 +178,7 @@ func (c *colStore) checkLocked(typ byte, m mutation) error {
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrCollectionNotFound, m.Collection)
 		}
-		if _, ok := col[m.ID]; !ok {
+		if _, ok := col.Get(m.ID); !ok {
 			return fmt.Errorf("%w: %q in %q", ErrRecordNotFound, m.ID, m.Collection)
 		}
 	case mutEvict:
@@ -194,19 +195,19 @@ func (c *colStore) checkLocked(typ byte, m mutation) error {
 func (c *colStore) applyLocked(typ byte, m mutation) {
 	switch typ {
 	case mutCreate:
-		c.cols[m.Collection] = make(map[string]colRecord)
+		col, _ := er.NewCollection(c.opts) // c.opts passed Validate in newColStore
+		c.cols[m.Collection] = col
 	case mutDrop:
 		delete(c.cols, m.Collection)
 	case mutUpsert:
-		c.cols[m.Collection][m.ID] = colRecord{Entity: m.Entity, Source: m.Source, Text: m.Text}
+		c.cols[m.Collection].Upsert(m.ID, er.Record{Text: m.Text, Source: m.Source, Entity: m.Entity})
 	case mutDelete:
-		delete(c.cols[m.Collection], m.ID)
+		c.cols[m.Collection].Delete(m.ID)
 	case mutEvict:
 		for _, k := range m.Evict {
 			c.forgetLocked(k)
 		}
 	}
-	c.bumpLocked(typ, m)
 }
 
 // apply replays one journaled mutation during recovery. Keyed records
@@ -249,7 +250,15 @@ type snapshotState struct {
 func (s *Server) snapshotWithSeq() ([]byte, uint64, error) {
 	s.cols.mu.RLock()
 	defer s.cols.mu.RUnlock()
-	st := snapshotState{Collections: s.cols.cols}
+	st := snapshotState{Collections: make(map[string]map[string]colRecord, len(s.cols.cols))}
+	for name, col := range s.cols.cols {
+		ids, recs := col.Records()
+		m := make(map[string]colRecord, len(ids))
+		for i, id := range ids {
+			m[id] = colRecord{Entity: recs[i].Entity, Source: recs[i].Source, Text: recs[i].Text}
+		}
+		st.Collections[name] = m
+	}
 	for _, key := range s.cols.dedupOrder {
 		st.Dedup = append(st.Dedup, *s.cols.dedup[key])
 	}
@@ -260,19 +269,31 @@ func (s *Server) snapshotWithSeq() ([]byte, uint64, error) {
 	return data, s.walLog.LastSeq(), nil
 }
 
-// restoreJSON replaces the store's state with a decoded snapshot.
+// restoreJSON replaces the store's state with a decoded snapshot. Each
+// collection is rebuilt by upserting its records in ascending ID order, so
+// the index's record handles follow IDs and every posting insert is an
+// append.
 func (c *colStore) restoreJSON(data []byte) error {
 	var st snapshotState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("%w: undecodable snapshot payload: %w", wal.ErrCorrupt, err)
 	}
-	if st.Collections == nil {
-		st.Collections = make(map[string]map[string]colRecord)
-	}
-	for name, col := range st.Collections {
-		if col == nil {
-			st.Collections[name] = make(map[string]colRecord)
+	cols := make(map[string]*er.Collection, len(st.Collections))
+	for name, recs := range st.Collections {
+		col, err := er.NewCollection(c.opts)
+		if err != nil {
+			return err
 		}
+		ids := make([]string, 0, len(recs))
+		for id := range recs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			r := recs[id]
+			col.Upsert(id, er.Record{Text: r.Text, Source: r.Source, Entity: r.Entity})
+		}
+		cols[name] = col
 	}
 	dedup := make(map[string]*dedupEntry, len(st.Dedup))
 	order := make([]string, 0, len(st.Dedup))
@@ -284,17 +305,9 @@ func (c *colStore) restoreJSON(data []byte) error {
 		dedup[e.Key] = &e
 	}
 	c.mu.Lock()
-	c.cols = st.Collections
+	c.cols = cols
 	c.dedup = dedup
 	c.dedupOrder = order
-	// Restored collections start a fresh version lineage with no delta log:
-	// the first resolve of each rebuilds its mirror from the record set.
-	c.version = make(map[string]uint64, len(st.Collections))
-	c.logs = make(map[string]*colLog, len(st.Collections))
-	for name := range st.Collections {
-		c.version[name] = 1
-		c.logs[name] = &colLog{start: 2}
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -304,32 +317,17 @@ func (c *colStore) counts() (collections, records int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, col := range c.cols {
-		records += len(col)
+		records += col.Len()
 	}
 	return len(c.cols), records
 }
 
-// dataset snapshots a collection into an er.Dataset, records ordered by
-// ID so resolution input — and therefore output — is deterministic for a
-// given collection state.
-func (c *colStore) dataset(name string) (*er.Dataset, bool) {
+// collection returns the named collection.
+func (c *colStore) collection(name string) (*er.Collection, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	col, ok := c.cols[name]
-	if !ok {
-		return nil, false
-	}
-	ids := make([]string, 0, len(col))
-	for id := range col {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	records := make([]er.Record, len(ids))
-	for i, id := range ids {
-		r := col[id]
-		records[i] = er.Record{Text: r.Text, Source: r.Source, Entity: r.Entity}
-	}
-	return er.NewDataset("collection:"+name, records), true
+	return col, ok
 }
 
 // list reports every collection name with its record count, sorted by
@@ -344,27 +342,21 @@ func (c *colStore) list() []collectionInfo {
 	sort.Strings(names)
 	out := make([]collectionInfo, len(names))
 	for i, name := range names {
-		out[i] = collectionInfo{Name: name, Records: len(c.cols[name])}
+		out[i] = collectionInfo{Name: name, Records: c.cols[name].Len()}
 	}
 	return out
 }
 
 // get reports one collection's records sorted by ID.
 func (c *colStore) get(name string) ([]recordInfo, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	col, ok := c.cols[name]
+	col, ok := c.collection(name)
 	if !ok {
 		return nil, false
 	}
-	ids := make([]string, 0, len(col))
-	for id := range col {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids, recs := col.Records()
 	out := make([]recordInfo, len(ids))
 	for i, id := range ids {
-		r := col[id]
+		r := recs[i]
 		out[i] = recordInfo{ID: id, Entity: r.Entity, Source: r.Source, Text: r.Text}
 	}
 	return out, true
@@ -685,13 +677,13 @@ func (s *Server) handleRecordDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleCollectionResolve is POST /collections/{name}/resolve, through the
 // standard admission → queue → worker path. Without option overrides the
-// job runs delta-scoped: the collection's incremental mirror is synced from
-// the delta log and only the candidate-graph components touched since the
-// last resolve are re-fused (per-component fusion semantics — see
-// er.Collection; the response carries the work split in "delta" and on the
-// "deltafuse" stage). A request with option overrides — or a server with an
-// injected Runner — falls back to snapshotting the collection into a
-// dataset and re-resolving the full corpus under those options.
+// job resolves the collection itself, delta-scoped: only the
+// candidate-graph components touched since the last resolve are re-fused
+// (per-component fusion semantics — see er.Collection; the response
+// carries the work split in "delta" and on the "deltafuse" stage). A
+// request with option overrides — or a server with an injected Runner —
+// copies the collection into a dataset and re-resolves the full corpus
+// under those options.
 func (s *Server) handleCollectionResolve(w http.ResponseWriter, r *http.Request) {
 	if herr := s.collectionsReady(); herr != nil {
 		writeError(w, herr.status, herr.kind, herr.message)
@@ -711,13 +703,14 @@ func (s *Server) handleCollectionResolve(w http.ResponseWriter, r *http.Request)
 		}
 		jo = req.Options
 	}
-	d, ok := s.cols.dataset(name)
+	col, ok := s.cols.collection(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("%v: %q", ErrCollectionNotFound, name))
 		return
 	}
 	opts := jo.apply(er.DefaultOptions())
-	class := "collection:" + name
+	dataset := "collection:" + name
+	class := dataset
 	if opts.UseRSS {
 		class += "+rss"
 	}
@@ -725,11 +718,12 @@ func (s *Server) handleCollectionResolve(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, "invalid_options", err.Error())
 		return
 	}
-	var run func(ctx context.Context) (*er.Result, error)
 	if jo == nil && !s.opts.runnerInjected {
-		run = func(ctx context.Context) (*er.Result, error) {
+		s.runResolve(w, r, dataset, nil, class, opts, func(ctx context.Context) (*er.Result, error) {
 			return s.resolveCollectionDelta(ctx, name)
-		}
+		})
+		return
 	}
-	s.runResolve(w, r, d, class, opts, run)
+	_, recs := col.Records()
+	s.runResolve(w, r, dataset, er.NewDataset(dataset, recs), class, opts, nil)
 }

@@ -441,7 +441,10 @@ func TestDurableMutationsSurviveInWAL(t *testing.T) {
 		t.Fatalf("delete: status %d", status)
 	}
 
-	store := newColStore(DefaultDedupCapacity)
+	store, err := newColStore(DefaultDedupCapacity, er.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, rec, err := wal.Open(context.Background(), wal.Options{
 		Dir:        dir,
 		OnSnapshot: func(_ uint64, data []byte) error { return store.restoreJSON(data) },

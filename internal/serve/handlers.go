@@ -258,15 +258,16 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, perr.status, perr.kind, perr.message)
 		return
 	}
-	s.runResolve(w, r, d, class, opts, nil)
+	s.runResolve(w, r, d.Name(), d, class, opts, nil)
 }
 
-// runResolve pushes a parsed dataset through admission (breaker →
-// draining → queue), waits for the job's terminal state and writes the
-// response. Shared by /resolve and /collections/{name}/resolve; a non-nil
-// run replaces the configured Runner for this job (the delta-scoped
-// collection path), with d supplying only the response metadata.
-func (s *Server) runResolve(w http.ResponseWriter, r *http.Request, d *er.Dataset, class string, opts er.Options, run func(ctx context.Context) (*er.Result, error)) {
+// runResolve pushes a job through admission (breaker → draining → queue),
+// waits for its terminal state and writes the response, reporting the
+// input as dataset. Shared by /resolve and /collections/{name}/resolve; a
+// non-nil run replaces the configured Runner and its dataset d (the
+// delta-scoped collection path, where d is nil and the record count comes
+// from the result).
+func (s *Server) runResolve(w http.ResponseWriter, r *http.Request, dataset string, d *er.Dataset, class string, opts er.Options, run func(ctx context.Context) (*er.Result, error)) {
 	ok, probe, retryAfter := s.breaker.allow(class)
 	if !ok {
 		s.c.tripped.Add(1)
@@ -293,10 +294,14 @@ func (s *Server) runResolve(w http.ResponseWriter, r *http.Request, d *er.Datase
 		JobID:       j.id,
 		State:       state,
 		Class:       class,
-		Dataset:     d.Name(),
-		Records:     d.NumRecords(),
+		Dataset:     dataset,
 		QueueWaitMs: float64(queueWait) / float64(time.Millisecond),
 		RunMs:       float64(runTime) / float64(time.Millisecond),
+	}
+	if d != nil {
+		resp.Records = d.NumRecords()
+	} else if res != nil {
+		resp.Records = len(res.IDs)
 	}
 	if err != nil {
 		resp.Error = err.Error()

@@ -34,8 +34,7 @@ type job struct {
 	opts    er.Options
 	probe   bool // admitted as a half-open breaker probe
 	// run, when non-nil, replaces the configured Runner for this job (the
-	// delta-scoped collection resolve path); dataset and opts then serve
-	// only the response metadata.
+	// delta-scoped collection resolve path); dataset is then nil.
 	run func(ctx context.Context) (*er.Result, error)
 
 	// ctx carries the job deadline and every cancellation source (client

@@ -56,13 +56,6 @@ type Server struct {
 	// dataset (nil when Options.SnapshotCache is negative).
 	snapshots *er.SnapshotCache
 
-	// resolvers holds the per-collection incremental mirrors the
-	// delta-scoped resolve path syncs lazily (see resolver.go).
-	resolvers struct {
-		sync.Mutex
-		m map[string]*colResolver
-	}
-
 	c        counters
 	queueLat *latencyRing
 	runLat   *latencyRing
@@ -92,16 +85,19 @@ func New(opts Options) (*Server, error) {
 		kill:        kill,
 		breaker:     newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.BreakerMaxCooldown, o.Clock, newEqualJitter()),
 		jobs:        newStore(o.RetainedJobs),
-		cols:        newColStore(o.DedupCapacity),
 		queueLat:    newLatencyRing(o.LatencyWindow),
 		runLat:      newLatencyRing(o.LatencyWindow),
 		totalLat:    newLatencyRing(o.LatencyWindow),
 		stages:      newStageTotals(),
 	}
-	s.resolvers.m = make(map[string]*colResolver)
 	if o.SnapshotCache > 0 {
 		s.snapshots = er.NewSnapshotCache(o.SnapshotCache)
 	}
+	cols, err := newColStore(o.DedupCapacity, s.collectionOptions())
+	if err != nil {
+		return nil, err
+	}
+	s.cols = cols
 	if o.DataDir != "" {
 		s.startRecovery()
 	}
@@ -412,10 +408,9 @@ func (s *Server) Stats() Stats {
 		Stages:         s.stages.snapshot(),
 		SnapshotCache:  snapshotCacheStats(s.snapshots),
 		Collections: CollectionsStats{
-			Collections:      colCount,
-			Records:          recCount,
-			DeltaResolves:    s.c.deltaResolves.Load(),
-			ResolverRebuilds: s.c.resolverRebuilds.Load(),
+			Collections:   colCount,
+			Records:       recCount,
+			DeltaResolves: s.c.deltaResolves.Load(),
 		},
 		Idempotency: s.cols.idempotencyStats(),
 		Durability:  s.durabilityStats(),

@@ -25,8 +25,7 @@ type counters struct {
 	panics      atomic.Int64 // panics converted to errors by the job boundary
 	running     atomic.Int64 // gauge: jobs executing right now
 
-	deltaResolves    atomic.Int64 // collection resolves served by the delta path
-	resolverRebuilds atomic.Int64 // delta resolves that rebuilt their mirror
+	deltaResolves atomic.Int64 // collection resolves served by the delta path
 }
 
 // latencyRing keeps the most recent window of duration samples for one
@@ -188,8 +187,9 @@ func snapshotCacheStats(c *er.SnapshotCache) SnapshotCacheStats {
 
 // CollectionsStats is the /stats view of the durable-collections store and
 // its incremental resolve path: DeltaResolves counts collection resolves
-// served delta-scoped, ResolverRebuilds the subset that had to rebuild
-// their mirror from scratch (first use, restart, or a delta-log overflow).
+// served delta-scoped. ResolverRebuilds is always 0: each collection is
+// resolved in place, so there is no mirror left to rebuild; the key stays
+// so existing /stats consumers keep decoding.
 type CollectionsStats struct {
 	Collections      int   `json:"collections"`
 	Records          int   `json:"records"`

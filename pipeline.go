@@ -10,7 +10,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/blocking"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/similarity"
@@ -671,24 +670,3 @@ func ResolveContext(ctx context.Context, d *Dataset, opts Options) (res *Result,
 	res.Trace = fromEngineTrace(run.Trace())
 	return res, nil
 }
-
-// Internals exposes the pipeline's internal corpus and candidate
-// structures. The returned types live under internal/ and cannot be named
-// by external importers; this accessor was never part of the supported
-// API surface.
-//
-// Deprecated: the staged execution engine supersedes this bridge. Use the
-// typed snapshot surface instead — Pipeline.Trace, Pipeline.SnapshotKey,
-// FusionOutcome.Trace/Result.Trace for per-stage timing, and (inside this
-// module) internal/engine.Prepare/Fuse for stage-level access, as
-// internal/experiments now does.
-func (p *Pipeline) Internals() (*textproc.Corpus, *blocking.Graph) {
-	return p.corpus, p.graph
-}
-
-// CoreOptions converts the pipeline's options into the internal core
-// parameter set.
-//
-// Deprecated: a bridge of the same vintage as Internals; superseded by
-// the staged execution engine (internal/engine) for in-module harnesses.
-func (p *Pipeline) CoreOptions() core.Options { return p.opts.coreOptions() }

@@ -70,10 +70,15 @@ go test -race -count=1 -run 'TestNetFaultExactlyOnce' ./internal/faultcheck/
 # Collection.Resolve carries across calls (the index's pair states and
 # record order, the component cache, the label counts) is checked against
 # a fresh collection over a long seeded mutation history, at workers 1, 2
-# and 4 under four blocking configurations, plus the incremental
-# evaluation against the full ground-truth map it replaced.
-echo "==> warm-resolve oracle (long history vs fresh collection, evaluation)"
+# and 4 under four blocking configurations and with writers racing a
+# resolver, plus the incremental evaluation against the full ground-truth
+# map it replaced. The erserve side: a delta resolve after a restart (from
+# the final snapshot and from the journal tail), after restoring a
+# snapshot literal in the on-disk format, and after concurrent keyed PUTs
+# must equal a fresh collection over the records the server lists.
+echo "==> warm-resolve oracle (long history vs fresh collection, evaluation, erserve restart + concurrency)"
 go test -race -count=1 -run 'TestCollectionLongHistoryMatchesFresh|TestCollectionEvaluationMatchesFullTruth' .
+go test -race -count=1 -run 'TestCollectionDeltaResolveRestartOracle|TestCollectionSnapshotFormatCompat|TestCollectionConcurrentPutsAndResolves' ./internal/serve/
 
 echo "==> erserve smoke (boot, resolve, SIGKILL recovery, drain)"
 ./scripts/smoke_erserve.sh
