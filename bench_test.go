@@ -308,16 +308,16 @@ func BenchmarkResolveEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkFusionSharded100k measures the component-sharded fusion path
-// (the er default) on a 100000-record synthetic corpus across worker
-// counts. The corpus and its blocked candidate graph are shared across the
+// BenchmarkFusion100k measures the batch fusion stages (ITER and
+// CliqueRank over the one global record graph) on a 100000-record
+// synthetic corpus across worker counts. The corpus and its blocked candidate graph are shared across the
 // sub-benchmarks through a snapshot cache — the snapshot key is
 // worker-independent — so only the fusion stages are measured. Two fusion
 // iterations bound the op time; the scores are bit-identical at every
-// worker count (TestResolveShardingBitIdentical), so the workers=N samples
+// worker count (TestResolveBitIdenticalAcrossWorkers), so the workers=N samples
 // are directly comparable and erbenchjson derives speedup_vs_1_worker from
 // them. Skipped under -short: generation plus first blocking cost ~20s.
-func BenchmarkFusionSharded100k(b *testing.B) {
+func BenchmarkFusion100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k corpus setup is seconds-scale; skipped under -short")
 	}

@@ -118,15 +118,13 @@ func TestResolveReportsEvaluation(t *testing.T) {
 	}
 }
 
-// TestResolveShardingBitIdentical pins the public contract of the default
-// component-sharded rank path: Resolve with sharding (the default) must
-// reproduce the DisableSharding run bit for bit — probabilities,
-// similarities, matches, clusters and graph aggregates — at every worker
-// count. This is the end-to-end face of the core determinism suite.
-func TestResolveShardingBitIdentical(t *testing.T) {
+// TestResolveBitIdenticalAcrossWorkers pins the public worker-count
+// contract: Resolve at every worker count must reproduce the serial run bit
+// for bit — probabilities, matches, clusters and graph aggregates. This is
+// the end-to-end face of the core determinism suite.
+func TestResolveBitIdenticalAcrossWorkers(t *testing.T) {
 	d := ProductReplica(ReplicaConfig{Seed: 1, Scale: 0.25})
 	opts := DefaultOptions()
-	opts.DisableSharding = true
 	opts.Workers = 1
 	want, err := Resolve(d, opts)
 	if err != nil {
@@ -154,10 +152,10 @@ func TestResolveShardingBitIdentical(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("workers=%d: matches diverge from unsharded run", w)
+			t.Fatalf("workers=%d: matches diverge from the serial run", w)
 		}
 		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-			t.Fatalf("workers=%d: clusters diverge from unsharded run", w)
+			t.Fatalf("workers=%d: clusters diverge from the serial run", w)
 		}
 	}
 }

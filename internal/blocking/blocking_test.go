@@ -168,83 +168,6 @@ func TestPairsConsistentWithTermPairs(t *testing.T) {
 	}
 }
 
-func TestSortedNeighborhoodWindow(t *testing.T) {
-	c := corpus("aa x1", "aa x2", "bb y1", "bb y2", "cc z1")
-	// Key by the record's first term: sorted groups aa,aa,bb,bb,cc.
-	keyOf := func(r int) string { return c.Terms[c.Docs[r][0]] }
-	pairs := SortedNeighborhood(c, keyOf, 2)
-	// Window 2 pairs adjacent records in sorted order: 4 pairs for 5 records.
-	if len(pairs) != 4 {
-		t.Fatalf("pairs = %v, want 4 adjacent pairs", pairs)
-	}
-	// Records sharing the key must be adjacent and hence paired.
-	found := func(i, j int32) bool {
-		for _, p := range pairs {
-			if p.I == i && p.J == j {
-				return true
-			}
-		}
-		return false
-	}
-	if !found(0, 1) || !found(2, 3) {
-		t.Errorf("same-key pairs missing from %v", pairs)
-	}
-}
-
-func TestSortedNeighborhoodFullWindowIsComplete(t *testing.T) {
-	c := corpus("aa", "bb", "cc", "dd")
-	pairs := SortedNeighborhood(c, nil, 4)
-	if len(pairs) != 6 {
-		t.Errorf("window = n must produce all C(4,2)=6 pairs, got %d", len(pairs))
-	}
-	for _, p := range pairs {
-		if p.I >= p.J {
-			t.Errorf("pair %v not normalized", p)
-		}
-	}
-}
-
-func TestSortedNeighborhoodDefaultKeyUsesRarestTerm(t *testing.T) {
-	// "rare" has df 2, "common" df 4: default key must sort the two rare
-	// records together even with window 2.
-	c := corpus(
-		"common rare",
-		"common aaa1",
-		"common zzz9",
-		"common rare",
-	)
-	pairs := SortedNeighborhood(c, nil, 2)
-	found := false
-	for _, p := range pairs {
-		if p.I == 0 && p.J == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("rarest-term key should pair records 0 and 3, got %v", pairs)
-	}
-}
-
-func TestMultiPassUnion(t *testing.T) {
-	c := corpus("aa pp", "aa qq", "bb pp", "bb qq")
-	firstTerm := func(r int) string { return c.Terms[c.Docs[r][0]] }
-	secondTerm := func(r int) string { return c.Terms[c.Docs[r][1]] }
-	single := SortedNeighborhood(c, firstTerm, 2)
-	multi := MultiPass(c, []func(int) string{firstTerm, secondTerm}, 2)
-	if len(multi) <= len(single) {
-		t.Errorf("multi-pass %d pairs must exceed single pass %d", len(multi), len(single))
-	}
-	// Pairs must be unique.
-	seen := map[[2]int32]bool{}
-	for _, p := range multi {
-		k := [2]int32{p.I, p.J}
-		if seen[k] {
-			t.Fatalf("duplicate pair %v", p)
-		}
-		seen[k] = true
-	}
-}
-
 func TestBuildSourceMismatchError(t *testing.T) {
 	c := corpus("aa bb", "aa cc")
 	g, err := Build(c, []int{0}, Options{CrossSourceOnly: true})

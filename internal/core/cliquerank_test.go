@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -103,19 +104,41 @@ func TestCliqueRankLowAlphaLeaksAcrossBridge(t *testing.T) {
 }
 
 // TestCliqueRankMatchesDenseReference validates the masked-pattern chain
-// against a direct dense implementation of the §VI-C recurrence
-// Mᵏ = M_t × (Mᵏ⁻¹ ⊙ M_n) with M¹ = M_t (bonus disabled so both sides use
-// the same first-step matrix).
+// against a direct dense implementation of the §VI-C recurrence, under
+// both first-step matrices.
 func TestCliqueRankMatchesDenseReference(t *testing.T) {
-	g, rg := cliqueFixture(t, 0.3)
-	opts := DefaultOptions()
-	opts.DisableBonus = true
-	opts.Steps = 6
-	got := CliqueRank(rg, opts)
+	for _, disableBonus := range []bool{true, false} {
+		t.Run(fmt.Sprintf("DisableBonus=%v", disableBonus), func(t *testing.T) {
+			g, rg := cliqueFixture(t, 0.3)
+			opts := DefaultOptions()
+			opts.DisableBonus = disableBonus
+			opts.Steps = 6
+			got := CliqueRank(rg, opts)
+			acc := denseCliqueRankSum(rg, opts)
+			clamp := func(v float64) float64 {
+				if v > 1 {
+					return 1
+				}
+				return v
+			}
+			for pid, pair := range g.Pairs {
+				want := (clamp(acc.At(int(pair.I), int(pair.J))) + clamp(acc.At(int(pair.J), int(pair.I)))) / 2
+				if math.Abs(got[pid]-want) > 1e-9 {
+					t.Fatalf("pair %d: CliqueRank %g, dense reference %g", pid, got[pid], want)
+				}
+			}
+		})
+	}
+}
 
-	// Dense reference.
+// denseCliqueRankSum computes Σ_{k=1..S} Mᵏ with dense matrices, where
+// Mᵏ = M_t × (Mᵏ⁻¹ ⊙ M_n). M¹ is M_t when the bonus is disabled, and
+// otherwise M_b of Eq. 12: the expectation over the bonus b, taken by
+// 8-point midpoint quadrature.
+func denseCliqueRankSum(rg *RecordGraph, opts Options) *matrix.Dense {
 	n := rg.Pattern.N
 	mt := matrix.NewDense(n, n)
+	m1 := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		nbrs, vals := rg.S.RowSlice(i)
 		smax := 0.0
@@ -132,6 +155,17 @@ func TestCliqueRankMatchesDenseReference(t *testing.T) {
 		}
 		for k, j := range nbrs {
 			mt.Set(i, int(j), w[k]/sum)
+			if opts.DisableBonus {
+				m1.Set(i, int(j), w[k]/sum)
+				continue
+			}
+			const points = 8
+			var mb float64
+			for q := 0; q < points; q++ {
+				boosted := math.Pow(1+(float64(q)+0.5)/points, opts.Alpha) * w[k]
+				mb += boosted / (sum - w[k] + boosted)
+			}
+			m1.Set(i, int(j), mb/points)
 		}
 	}
 	mask := matrix.NewDense(n, n)
@@ -140,24 +174,13 @@ func TestCliqueRankMatchesDenseReference(t *testing.T) {
 			mask.Set(i, int(j), 1)
 		}
 	}
-	mk := mt.Clone()
+	mk := m1.Clone()
 	acc := mk.Clone()
 	for step := 2; step <= opts.Steps; step++ {
 		mk = mt.Mul(mk.Hadamard(mask))
 		acc = acc.Add(mk)
 	}
-	clamp := func(v float64) float64 {
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-	for pid, pair := range g.Pairs {
-		want := (clamp(acc.At(int(pair.I), int(pair.J))) + clamp(acc.At(int(pair.J), int(pair.I)))) / 2
-		if math.Abs(got[pid]-want) > 1e-9 {
-			t.Fatalf("pair %d: CliqueRank %g, dense reference %g", pid, got[pid], want)
-		}
-	}
+	return acc
 }
 
 func TestCliqueRankBonusHelpsBigClique(t *testing.T) {

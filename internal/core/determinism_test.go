@@ -133,48 +133,6 @@ func TestFusionBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedFusionBitIdenticalAcrossWorkers is the satellite property
-// test for component sharding: the sharded run must reproduce the
-// unsharded serial run — similarities, probabilities, match decisions, and
-// the graph size aggregates — to the last bit, for every worker count.
-func TestShardedFusionBitIdenticalAcrossWorkers(t *testing.T) {
-	_, g := productScaleGraph(t)
-	opts := DefaultOptions()
-	opts.FusionIterations = 3
-	opts.Workers = 1
-	want, err := RunFusion(g, g.NumRecords, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Graph == nil || want.Nodes != want.Graph.NumNodes() || want.Edges != want.Graph.NumEdges() {
-		t.Fatalf("unsharded aggregates %d/%d disagree with Graph %d/%d",
-			want.Nodes, want.Edges, want.Graph.NumNodes(), want.Graph.NumEdges())
-	}
-	opts.ShardComponents = true
-	for _, w := range workerCounts() {
-		opts.Workers = w
-		got, err := RunFusion(g, g.NumRecords, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Graph != nil {
-			t.Fatalf("workers=%d: sharded run materialized a global graph", w)
-		}
-		if got.Nodes != want.Nodes || got.Edges != want.Edges {
-			t.Fatalf("workers=%d: nodes/edges %d/%d, want %d/%d",
-				w, got.Nodes, got.Edges, want.Nodes, want.Edges)
-		}
-		bitsEqual(t, "X", want.X, got.X)
-		bitsEqual(t, "S", want.S, got.S)
-		bitsEqual(t, "P", want.P, got.P)
-		for i := range want.Matches {
-			if want.Matches[i] != got.Matches[i] {
-				t.Fatalf("workers=%d: match[%d] %v != %v", w, i, got.Matches[i], want.Matches[i])
-			}
-		}
-	}
-}
-
 // TestFusionReuseMatchesSingleShot asserts the scratch/arena path RunFusion
 // takes is bit-identical to composing the exported single-shot kernels by
 // hand — the reuse must be invisible.

@@ -18,13 +18,12 @@ type FusionResult struct {
 	// Matches flags the pairs with P >= opts.Eta.
 	Matches []bool
 	// Graph is the record graph of the last iteration (Table III stats).
-	// It is nil when the run was sharded by component (ShardComponents):
-	// the global graph is never materialized then. Nodes and Edges below
-	// are populated either way.
+	// The batch path (RunFusion, engine.Fuse) always sets it; the
+	// per-component delta path (engine.DeltaFuse) leaves it nil.
 	Graph *RecordGraph
 	// Nodes and Edges are the last round's record-graph size — the record
-	// count and the kept (similarity > 0) pair count. Unlike Graph, they
-	// are populated in both the sharded and unsharded paths.
+	// count and the kept (similarity > 0) pair count. Every path sets them,
+	// including the ones that leave Graph nil.
 	Nodes, Edges int
 	// ITERTrace records, per fusion iteration, the Σ|Δx_t| update series of
 	// the inner ITER loop (the Figure 5 data, concatenated across fusion
@@ -72,22 +71,13 @@ func RunFusion(g *blocking.Graph, numRecords int, opts Options) (*FusionResult, 
 	// the last round's buffers survive into the result, so the steady state
 	// of the loop allocates nothing but the per-round adjacency pattern.
 	f := NewFusionRun(g, numRecords, opts)
-	if opts.ShardComponents {
-		f.Partition()
-	}
 	for f.Next() {
 		if _, err := f.StepITER(); err != nil {
 			return nil, err
 		}
-		if f.Sharded() {
-			if _, err := f.StepShardedRank(); err != nil {
-				return nil, err
-			}
-		} else {
-			f.StepGraph()
-			if err := f.StepRank(); err != nil {
-				return nil, err
-			}
+		f.StepGraph()
+		if err := f.StepRank(); err != nil {
+			return nil, err
 		}
 	}
 	return f.Finish(), nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/clock"
+	"repro/internal/graph"
 )
 
 // Scratch recycles the fusion loop's record-graph and rank-kernel arena
@@ -50,7 +51,6 @@ type FusionRun struct {
 	res        *FusionResult
 	sc         *iterScratch
 	ar         *arena
-	shards     *shardSet
 	rounds     int
 	round      int
 }
@@ -154,6 +154,42 @@ func (f *FusionRun) StepRank() error {
 		f.opts.Progress(f.round, f.res.S, f.p, f.now().Sub(f.start))
 	}
 	return nil
+}
+
+// StepShardedRank is StepGraph followed by StepRank. It returns the
+// round's kept-edge count, or the checkpoint's error when the run was
+// canceled.
+//
+// Deprecated: the rank phase always runs on the one global record graph;
+// call StepGraph and StepRank.
+func (f *FusionRun) StepShardedRank() (edges int, err error) {
+	_, edges = f.StepGraph()
+	if err := f.StepRank(); err != nil {
+		return 0, err
+	}
+	return edges, nil
+}
+
+// Partition returns the number of connected components of the candidate
+// graph, counting only records that appear in at least one pair. It reads
+// the candidate graph alone and leaves the run's fusion state untouched.
+//
+// Deprecated: the rank phase no longer splits by component; Partition
+// survives only as a component count for benchmark callers.
+func (f *FusionRun) Partition() int {
+	uf := graph.NewUnionFind(f.numRecords)
+	inPair := make([]bool, f.numRecords)
+	for _, pr := range f.g.Pairs {
+		uf.Union(int(pr.I), int(pr.J))
+		inPair[pr.I], inPair[pr.J] = true, true
+	}
+	isolated := 0
+	for _, in := range inPair {
+		if !in {
+			isolated++
+		}
+	}
+	return uf.Count() - isolated
 }
 
 // Finish seals and returns the result: final probabilities, the η

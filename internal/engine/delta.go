@@ -58,9 +58,9 @@ func (p *partition) compPairs(ci int) []int32   { return p.pairs[p.pairPtr[ci]:p
 func (p *partition) compByKey(ci int) []int32   { return p.byKey[p.pairPtr[ci]:p.pairPtr[ci+1]] }
 
 // partitionCandidates splits the candidate graph into connected components
-// over its pairs. The decomposition mirrors core's component sharding:
-// records in no pair are excluded, components are numbered by smallest
-// record ID, and per-component record/pair lists keep global order.
+// over its pairs. Records in no pair are excluded, components are numbered
+// by smallest record ID, and per-component record/pair lists keep global
+// order.
 func partitionCandidates(g *blocking.Graph, numRecords int) *partition {
 	uf := graph.NewUnionFind(numRecords)
 	inPair := make([]bool, numRecords)
@@ -301,9 +301,8 @@ func localizeComponent(g *blocking.Graph, part *partition, ci int, ct *compTerms
 }
 
 // fusionOptsSig serializes every core option that influences fusion output
-// — the same field set FusionKey hashes. Workers, Check, Clock, Progress,
-// Scratch and ShardComponents are excluded: output is bit-identical across
-// all of them.
+// — the same field set FusionKey hashes. Workers, Check, Clock, Progress
+// and Scratch are excluded: output is bit-identical across all of them.
 func fusionOptsSig(o core.Options) string {
 	return fmt.Sprintf("fuse=%g,%d,%g,%d,%g,%d,%d,%t,%d,%t,%t,%t,%d",
 		o.Alpha, o.Steps, o.Eta, o.FusionIterations,
@@ -339,9 +338,6 @@ func DeltaFuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options, cac
 	if opts.Clock == nil {
 		opts.Clock = r.clk
 	}
-	// A component is fused whole: sharding inside one component would only
-	// re-partition what is already a single component.
-	opts.ShardComponents = false
 
 	var part *partition
 	if err := r.Stage(StagePartition, func(st *StageTrace) error {

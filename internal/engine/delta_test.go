@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/textproc"
 )
@@ -68,5 +69,53 @@ func TestComponentKeyGolden(t *testing.T) {
 	const want = "2e085226b9c24e62635046ce6c5f6821c570663a42c6498caca5c4006e7de2c8"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("component key digest = %s, want %s", got, want)
+	}
+}
+
+// TestPartitionMatchesDeltaFuse pins core's FusionRun.Partition, the
+// component count the benchmark harness reports, to the Out of DeltaFuse's
+// partition stage: both count the connected components of the candidate
+// graph over the records in at least one pair. It runs on the full Product
+// replica and on a corpus whose records share no term, so no pair exists.
+func TestPartitionMatchesDeltaFuse(t *testing.T) {
+	product := dataset.GenProduct(dataset.GenConfig{Seed: 1, Scale: 1})
+	for _, tc := range []struct {
+		name    string
+		texts   []string
+		sources []int
+	}{
+		{"product", product.Texts(), product.Sources()},
+		{"no-pairs", []string{"alpha beta", "gamma delta", "epsilon zeta"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := textproc.BuildCorpus(tc.texts, textproc.CorpusOptions{Tokenize: textproc.DefaultTokenizeOptions(), MaxDFRatio: 0.12})
+			g, err := index.BuildGraph(c, tc.sources, index.BatchOptions{
+				CrossSourceOnly: len(tc.sources) > 0,
+				MinSharedTerms:  2,
+				MinJaccard:      0.2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.DefaultOptions()
+			run := NewRun(context.Background(), RunOptions{Workers: 1})
+			if _, _, err := DeltaFuse(run, g, c.NumRecords(), opts, NewCache(0)); err != nil {
+				t.Fatal(err)
+			}
+			st := run.Trace().Find(StagePartition)
+			if st == nil {
+				t.Fatal("DeltaFuse recorded no partition stage")
+			}
+			got := core.NewFusionRun(g, c.NumRecords(), opts).Partition()
+			if got != st.Out {
+				t.Fatalf("Partition() = %d, DeltaFuse partition stage Out = %d (%d pairs)", got, st.Out, g.NumPairs())
+			}
+			if tc.name == "product" && got < 100 {
+				t.Fatalf("product replica split into only %d components over %d pairs", got, g.NumPairs())
+			}
+			if tc.name == "no-pairs" && (g.NumPairs() != 0 || got != 0) {
+				t.Fatalf("no-pairs corpus: %d pairs, %d components; want 0/0", g.NumPairs(), got)
+			}
+		})
 	}
 }

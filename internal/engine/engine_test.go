@@ -159,6 +159,17 @@ func TestFuseMatchesRunFusion(t *testing.T) {
 	}
 
 	tr := run.Trace()
+	var stages []string
+	for _, st := range tr {
+		stages = append(stages, st.Stage)
+	}
+	// The batch path ranks one global record graph: no partition stage.
+	if got := strings.Join(stages[len(stages)-4:], ","); got != "iter,recordgraph,cliquerank,fuse" {
+		t.Fatalf("fusion stages = %v, want ... iter,recordgraph,cliquerank,fuse", stages)
+	}
+	if tr.Find(StagePartition) != nil {
+		t.Fatalf("batch trace has a partition stage: %v", stages)
+	}
 	iter := tr.Find(StageITER)
 	if iter == nil || iter.Rounds != 3 || iter.Iterations <= 0 || iter.Wall <= 0 {
 		t.Fatalf("iter stage = %+v, want 3 rounds with iterations and wall", iter)

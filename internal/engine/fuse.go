@@ -35,25 +35,9 @@ func Fuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options) (*core.F
 	rankSt := StageTrace{Stage: rankStage, InUnit: "edges", Out: g.NumPairs(), OutUnit: "pairs"}
 
 	f := core.NewFusionRun(g, numRecords, opts)
-	if opts.ShardComponents {
-		// Partition once per run; the stage records how many components the
-		// candidate graph splits into. (A no-op under UseRSS — Sharded()
-		// stays false and the loop takes the unsharded phases.)
-		if err := r.Stage(StagePartition, func(st *StageTrace) error {
-			st.In, st.InUnit = g.NumPairs(), "pairs"
-			st.Out, st.OutUnit = f.Partition(), "components"
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// In the sharded path graph construction happens inside the rank step
-	// (per component), so only the rank aggregate is recorded for it.
 	record := func() {
 		r.Record(iterSt)
-		if !f.Sharded() {
-			r.Record(graphSt)
-		}
+		r.Record(graphSt)
 		r.Record(rankSt)
 	}
 
@@ -66,19 +50,6 @@ func Fuse(r *Run, g *blocking.Graph, numRecords int, opts core.Options) (*core.F
 		if err != nil {
 			record()
 			return nil, err
-		}
-
-		if f.Sharded() {
-			start = r.clk()
-			edges, err := f.StepShardedRank()
-			rankSt.Wall += r.clk().Sub(start)
-			rankSt.Rounds++
-			rankSt.In = edges
-			if err != nil {
-				record()
-				return nil, err
-			}
-			continue
 		}
 
 		start = r.clk()

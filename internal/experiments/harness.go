@@ -102,10 +102,10 @@ func benchBlockingOptions(o er.Options, multiSource bool) blocking.Options {
 	}
 }
 
-// benchCoreOptions mirrors er.Options.coreOptions but deliberately leaves
-// ShardComponents off: the experiment tables (Table III, scaling) read the
-// concrete FusionResult.Graph, which the sharded path never materializes.
-// The scores are bit-identical either way, so the tables are unaffected.
+// benchCoreOptions mirrors er.Options.coreOptions, which the harness cannot
+// call from outside the er package. The experiment tables (Table III,
+// scaling) read the run's FusionResult.Graph, which the batch fusion path
+// always sets.
 func benchCoreOptions(o er.Options) core.Options {
 	c := core.DefaultOptions()
 	c.Alpha = o.Alpha

@@ -87,14 +87,10 @@ type Options struct {
 	// NewPipeline normalizes them to zero.
 	Workers int
 
-	// DisableSharding turns off component-sharded ranking. By default the
-	// pipeline partitions the candidate graph into connected components
-	// after blocking and runs record-graph construction + CliqueRank per
-	// component — coarse-grained parallelism that scales on real corpora
-	// (many small components) where row-level fan-out cannot. Scores and
-	// clusters are bit-identical either way (the determinism suite pins
-	// it); set this only to diagnose the sharded path or to force the
-	// single global record graph. Ignored (always unsharded) under UseRSS.
+	// DisableSharding is read nowhere: CliqueRank always ranks the one
+	// global record graph.
+	//
+	// Deprecated: setting it has no effect.
 	DisableSharding bool
 
 	// MaxCandidatePairs caps the number of candidate pairs blocking may
@@ -224,7 +220,6 @@ func (o Options) coreOptions() core.Options {
 	}
 	c.Seed = o.Seed
 	c.Workers = o.Workers
-	c.ShardComponents = !o.DisableSharding
 	c.Progress = o.Progress
 	return c
 }

@@ -4,8 +4,8 @@
 # Runs the core kernel benchmarks (ITER / CliqueRank / fusion, including the
 # Product-scale workers={1,2,4} fan-out matrix) plus the root package's
 # BenchmarkResolveStages (whose stage-<name>-ms metrics record the engine's
-# per-stage wall clock), BenchmarkFusionSharded100k (the 100k-record
-# component-sharded fusion matrix), BenchmarkBlocking100k (the
+# per-stage wall clock), BenchmarkFusion100k (the 100k-record fusion
+# matrix), BenchmarkBlocking100k (the
 # 100k-record candidate-generation matrix over the incremental index's
 # batch builder), BenchmarkBuildCorpus100k (the 100k-record tokenize
 # stage: the chunked corpus builder), BenchmarkCollectionBulkLoad100k
@@ -43,8 +43,8 @@ echo "==> go test -bench (benchtime $benchtime)" >&2
 go test ./internal/core/ -run xxx -bench 'ITER|CliqueRank|Fusion' \
     -benchmem -benchtime "$benchtime" -timeout 30m | tee results/bench_latest.txt
 
-echo "==> go test -bench ResolveStages + FusionSharded100k + Blocking100k + BuildCorpus100k + CollectionBulkLoad100k + CollectionRefresh100k (stage timings, 100k matrices)" >&2
-go test . -run xxx -bench 'ResolveStages|FusionSharded100k|Blocking100k|BuildCorpus100k|CollectionBulkLoad100k|CollectionRefresh100k' $short \
+echo "==> go test -bench ResolveStages + Fusion100k + Blocking100k + BuildCorpus100k + CollectionBulkLoad100k + CollectionRefresh100k (stage timings, 100k matrices)" >&2
+go test . -run xxx -bench 'ResolveStages|Fusion100k|Blocking100k|BuildCorpus100k|CollectionBulkLoad100k|CollectionRefresh100k' $short \
     -benchtime "$benchtime" -timeout 30m | tee -a results/bench_latest.txt
 
 echo "==> erbenchjson -> BENCH_core.json" >&2
